@@ -1,4 +1,4 @@
-// Distributed training bench: steps/sec and scaling efficiency of the
+// Distributed training bench: steps/sec, speedup and efficiency of the
 // deterministic data-parallel trainer (src/distributed/) on the Table
 // VIII efficiency workload — GraphCL + GradGCL on synthetic PROTEINS,
 // batch 64 — at 1/2/4 ranks over both transports (ranks run as threads
@@ -80,7 +80,8 @@ struct Leg {
   int world = 1;
   double seconds = 0.0;
   double steps_per_sec = 0.0;
-  double efficiency = 1.0;  // steps_per_sec / same-backend 1-rank rate
+  double speedup = 1.0;     // steps_per_sec / same-backend 1-rank rate
+  double efficiency = 1.0;  // speedup / ranks
   int64_t steps = 0;
 };
 
@@ -149,14 +150,16 @@ int main() {
       leg.seconds = seconds;
       leg.steps_per_sec = static_cast<double>(leg.steps) / seconds;
       if (world == 1) one_rank_rate = leg.steps_per_sec;
-      leg.efficiency =
+      leg.speedup =
           one_rank_rate > 0.0 ? leg.steps_per_sec / one_rank_rate : 1.0;
+      leg.efficiency = leg.speedup / world;
       legs.push_back(leg);
       std::printf(
           "%s x%d: %lld steps in %.2fs -> %.2f steps/sec "
-          "(efficiency %.2f), trajectory bitwise == baseline\n",
+          "(speedup %.2fx, efficiency %.2f), trajectory bitwise == "
+          "baseline\n",
           leg.backend, world, static_cast<long long>(leg.steps), seconds,
-          leg.steps_per_sec, leg.efficiency);
+          leg.steps_per_sec, leg.speedup, leg.efficiency);
     }
   }
 
@@ -222,10 +225,10 @@ int main() {
     std::fprintf(json,
                  "    {\"backend\": \"%s\", \"ranks\": %d, "
                  "\"seconds\": %.3f, \"steps_per_sec\": %.3f, "
-                 "\"scaling_efficiency\": %.3f, "
+                 "\"speedup_vs_1rank\": %.3f, \"efficiency\": %.3f, "
                  "\"bitwise_equal_to_single_rank\": true}%s\n",
                  legs[i].backend, legs[i].world, legs[i].seconds,
-                 legs[i].steps_per_sec, legs[i].efficiency,
+                 legs[i].steps_per_sec, legs[i].speedup, legs[i].efficiency,
                  i + 1 < legs.size() ? "," : "");
   }
   std::fprintf(json,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "tensor/ops.h"
 
@@ -12,9 +13,7 @@ namespace {
 using internal::Node;
 
 // Shorthand: does a node participate in gradient flow?
-bool NeedsGrad(const std::shared_ptr<Node>& n) {
-  return n->requires_grad || !n->parents.empty();
-}
+bool NeedsGrad(const std::shared_ptr<Node>& n) { return n->NeedsGrad(); }
 
 }  // namespace
 
@@ -35,7 +34,7 @@ Variable Sub(const Variable& a, const Variable& b) {
     if (NeedsGrad(out.parents[1])) {
       Matrix neg = out.grad;
       neg *= -1.0;
-      out.parents[1]->AccumulateGrad(neg);
+      out.parents[1]->AccumulateGrad(std::move(neg));
     }
   });
 }
@@ -47,7 +46,7 @@ Variable ScalarMul(const Variable& a, double s) {
     if (NeedsGrad(out.parents[0])) {
       Matrix g = out.grad;
       g *= s;
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -133,12 +132,14 @@ Variable Transpose(const Variable& a) {
 Variable Relu(const Variable& a) {
   return Variable::MakeOp(gradgcl::Relu(a.value()), {a}, [](Node& out) {
     if (NeedsGrad(out.parents[0])) {
-      Matrix g = out.grad;
+      // Branch-free mask; a NaN input fails `<= 0` and passes g through.
       const Matrix& x = out.parents[0]->value;
-      for (int i = 0; i < g.size(); ++i) {
-        if (x.at_flat(i) <= 0.0) g.at_flat(i) = 0.0;
-      }
-      out.parents[0]->AccumulateGrad(g);
+      Matrix g = Matrix::Uninitialized(x.rows(), x.cols());
+      const double* xd = x.data();
+      const double* gd = out.grad.data();
+      double* od = g.data();
+      for (int i = 0; i < g.size(); ++i) od[i] = xd[i] <= 0.0 ? 0.0 : gd[i];
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -154,7 +155,7 @@ Variable LeakyRelu(const Variable& a, double slope) {
       for (int i = 0; i < g.size(); ++i) {
         if (x.at_flat(i) <= 0.0) g.at_flat(i) *= slope;
       }
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -167,7 +168,7 @@ Variable Tanh(const Variable& a) {
         const double y = out.value.at_flat(i);
         g.at_flat(i) *= 1.0 - y * y;
       }
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -181,7 +182,7 @@ Variable Sigmoid(const Variable& a) {
         const double s = out.value.at_flat(i);
         g.at_flat(i) *= s * (1.0 - s);
       }
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -201,7 +202,7 @@ Variable LogEps(const Variable& a, double eps) {
       Matrix g = out.grad;
       const Matrix& x = out.parents[0]->value;
       for (int i = 0; i < g.size(); ++i) g.at_flat(i) /= x.at_flat(i) + eps;
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -214,7 +215,7 @@ Variable Sqrt(const Variable& a, double eps) {
       for (int i = 0; i < g.size(); ++i) {
         g.at_flat(i) *= 0.5 / out.value.at_flat(i);
       }
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -225,7 +226,7 @@ Variable Square(const Variable& a) {
         if (NeedsGrad(out.parents[0])) {
           Matrix g = gradgcl::Hadamard(out.grad, out.parents[0]->value);
           g *= 2.0;
-          out.parents[0]->AccumulateGrad(g);
+          out.parents[0]->AccumulateGrad(std::move(g));
         }
       });
 }
@@ -239,7 +240,7 @@ Variable Reciprocal(const Variable& a, double eps) {
         const double y = out.value.at_flat(i);
         g.at_flat(i) *= -y * y;
       }
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -260,7 +261,7 @@ Variable ScaleRowsVar(const Variable& a, const Variable& scale) {
             for (int j = 0; j < av.cols(); ++j) dot += g(i, j) * av(i, j);
             gs(i, 0) = dot;
           }
-          out.parents[1]->AccumulateGrad(gs);
+          out.parents[1]->AccumulateGrad(std::move(gs));
         }
       });
 }
@@ -304,7 +305,7 @@ Variable SumRows(const Variable& a) {
       for (int i = 0; i < x.rows(); ++i) {
         for (int j = 0; j < x.cols(); ++j) g(i, j) = out.grad(i, 0);
       }
-      out.parents[0]->AccumulateGrad(g);
+      out.parents[0]->AccumulateGrad(std::move(g));
     }
   });
 }
@@ -339,7 +340,7 @@ Variable RowNormalize(const Variable& a, double eps) {
         gx(i, j) = (g(i, j) - y(i, j) * dot) * inv;
       }
     }
-    out.parents[0]->AccumulateGrad(gx);
+    out.parents[0]->AccumulateGrad(std::move(gx));
   });
 }
 
@@ -377,13 +378,13 @@ Variable PairwiseSquaredDistances(const Variable& a, const Variable& b) {
           Matrix da = ScaleRows(av, RowSum(g));
           da -= gradgcl::MatMul(g, bv);
           da *= 2.0;
-          out.parents[0]->AccumulateGrad(da);
+          out.parents[0]->AccumulateGrad(std::move(da));
         }
         if (NeedsGrad(out.parents[1])) {
           Matrix db = ScaleRows(bv, ColSum(g).Transposed());
           db -= MatMulTransA(g, av);
           db *= 2.0;
-          out.parents[1]->AccumulateGrad(db);
+          out.parents[1]->AccumulateGrad(std::move(db));
         }
       });
 }
@@ -421,7 +422,7 @@ Variable LogSumExpRows(const Variable& a, const Matrix& mask) {
         }
       }
     }
-    out_node.parents[0]->AccumulateGrad(gx);
+    out_node.parents[0]->AccumulateGrad(std::move(gx));
   });
 }
 
@@ -462,7 +463,7 @@ Variable MaskedRowSoftmax(const Variable& a, const Matrix& mask) {
         if (mask(i, j) != 0.0) gx(i, j) = y(i, j) * (g(i, j) - dot);
       }
     }
-    out.parents[0]->AccumulateGrad(gx);
+    out.parents[0]->AccumulateGrad(std::move(gx));
   });
 }
 
@@ -518,7 +519,7 @@ Variable MaskedExpRowSum(const Variable& s, Variable* exp_out) {
     for (int i = 0; i < x.rows(); ++i) {
       for (int j = 0; j < x.cols(); ++j) g(i, j) = out.grad(i, 0);
     }
-    out.parents[0]->AccumulateGrad(g);
+    out.parents[0]->AccumulateGrad(std::move(g));
   });
 }
 
@@ -547,7 +548,7 @@ Variable ScaleRowsMatMul(const Variable& a, const Variable& scale,
             for (int j = 0; j < av.cols(); ++j) dot += ga(i, j) * av(i, j);
             gs(i, 0) = dot;
           }
-          out.parents[1]->AccumulateGrad(gs);
+          out.parents[1]->AccumulateGrad(std::move(gs));
         }
         if (NeedsGrad(out.parents[2])) {
           // Recomputing diag(s) a costs the same FP ops as the forward
@@ -592,7 +593,7 @@ Variable OffDiagSigmoid(const Variable& a) {
             }
           }
         }
-        out.parents[0]->AccumulateGrad(g);
+        out.parents[0]->AccumulateGrad(std::move(g));
       });
 }
 
@@ -635,7 +636,7 @@ Variable LogSumExpOffDiag(const Variable& a) {
         if (j != i) gx(i, j) = g(i, 0) * std::exp(x(i, j) - lse(i, 0));
       }
     }
-    out_node.parents[0]->AccumulateGrad(gx);
+    out_node.parents[0]->AccumulateGrad(std::move(gx));
   });
 }
 
@@ -676,7 +677,7 @@ Variable SliceRows(const Variable& a, int begin, int end) {
         for (int i = begin; i < end; ++i) {
           for (int j = 0; j < x.cols(); ++j) g(i, j) = out.grad(i - begin, j);
         }
-        out.parents[0]->AccumulateGrad(g);
+        out.parents[0]->AccumulateGrad(std::move(g));
       });
 }
 
@@ -691,7 +692,7 @@ Variable GatherRows(const Variable& a, const std::vector<int>& indices) {
             g(indices[i], j) += out.grad(static_cast<int>(i), j);
           }
         }
-        out.parents[0]->AccumulateGrad(g);
+        out.parents[0]->AccumulateGrad(std::move(g));
       });
 }
 
@@ -708,7 +709,7 @@ Variable SegmentSum(const Variable& a, const std::vector<int>& segments,
     for (int i = 0; i < x.rows(); ++i) {
       for (int j = 0; j < x.cols(); ++j) g(i, j) = out_node.grad(segments[i], j);
     }
-    out_node.parents[0]->AccumulateGrad(g);
+    out_node.parents[0]->AccumulateGrad(std::move(g));
   });
 }
 
@@ -732,7 +733,7 @@ Variable SegmentMean(const Variable& a, const std::vector<int>& segments,
             g(i, j) = out_node.grad(s, j) * inv;
           }
         }
-        out_node.parents[0]->AccumulateGrad(g);
+        out_node.parents[0]->AccumulateGrad(std::move(g));
       });
 }
 
@@ -756,7 +757,7 @@ Variable SoftmaxCrossEntropy(const Variable& logits,
         const int n = g.rows();
         for (int i = 0; i < n; ++i) g(i, labels[i]) -= 1.0;
         g *= out.grad(0, 0) / n;
-        out.parents[0]->AccumulateGrad(g);
+        out.parents[0]->AccumulateGrad(std::move(g));
       });
 }
 
@@ -783,7 +784,7 @@ Variable BinaryCrossEntropyWithLogits(const Variable& logits,
           const double s = 1.0 / (1.0 + std::exp(-z.at_flat(i)));
           g.at_flat(i) = (s - targets.at_flat(i)) * scale;
         }
-        out.parents[0]->AccumulateGrad(g);
+        out.parents[0]->AccumulateGrad(std::move(g));
       });
 }
 

@@ -8,12 +8,23 @@ namespace gradgcl {
 namespace internal {
 
 void Node::AccumulateGrad(const Matrix& delta) {
-  if (!grad_initialized) {
-    grad = Matrix::Zeros(value.rows(), value.cols());
-    grad_initialized = true;
+  GRADGCL_CHECK(delta.rows() == value.rows() && delta.cols() == value.cols());
+  if (grad_initialized) {
+    grad += delta;
+    return;
   }
-  GRADGCL_CHECK(delta.rows() == grad.rows() && delta.cols() == grad.cols());
-  grad += delta;
+  grad = delta;
+  grad_initialized = true;
+}
+
+void Node::AccumulateGrad(Matrix&& delta) {
+  GRADGCL_CHECK(delta.rows() == value.rows() && delta.cols() == value.cols());
+  if (grad_initialized) {
+    grad += delta;
+    return;
+  }
+  grad = std::move(delta);
+  grad_initialized = true;
 }
 
 }  // namespace internal
@@ -90,9 +101,7 @@ Variable Variable::MakeOp(Matrix value, std::vector<Variable> parents,
     GRADGCL_CHECK_MSG(p.defined(), "op on null Variable");
     out.node_->parents.push_back(p.node());
     // A node needs gradients if any ancestor is a parameter.
-    if (p.node()->requires_grad || !p.node()->parents.empty()) {
-      any_grad = true;
-    }
+    if (p.node()->NeedsGrad()) any_grad = true;
   }
   if (any_grad) {
     out.node_->backward_fn = std::move(backward_fn);
@@ -106,7 +115,9 @@ void Backward(const Variable& loss) {
                     "Backward requires a 1x1 scalar loss");
 
   using internal::Node;
-  // Iterative post-order DFS to get a reverse topological order.
+  // Iterative post-order DFS to get a reverse topological order. It
+  // skips parents that do not need gradients: nothing below them does
+  // either, and leaving them out keeps the relative order of the rest.
   std::vector<Node*> order;
   std::unordered_set<Node*> visited;
   std::vector<std::pair<Node*, size_t>> stack;
@@ -116,7 +127,7 @@ void Backward(const Variable& loss) {
     auto& [node, next_child] = stack.back();
     if (next_child < node->parents.size()) {
       Node* child = node->parents[next_child++].get();
-      if (visited.insert(child).second) {
+      if (child->NeedsGrad() && visited.insert(child).second) {
         stack.emplace_back(child, 0);
       }
     } else {

@@ -32,11 +32,19 @@ struct Node {
   bool requires_grad = false;
   bool grad_initialized = false;
   std::vector<std::shared_ptr<Node>> parents;
-  // Propagates this->grad into the parents' grads.
+  // Propagates this->grad into the parents' grads. Set only when some
+  // parent takes part in backward.
   std::function<void(Node&)> backward_fn;
 
-  // Adds `delta` into this node's gradient accumulator.
+  // Whether backward reaches this node: it is a parameter, or a
+  // parameter lies upstream. A node computed from constants alone has
+  // no backward_fn, so backward neither visits it nor fills its grad.
+  bool NeedsGrad() const { return requires_grad || backward_fn != nullptr; }
+
+  // Adds `delta` into this node's gradient accumulator. The first delta
+  // is copied (const&) or adopted (&&) rather than added onto zeros.
   void AccumulateGrad(const Matrix& delta);
+  void AccumulateGrad(Matrix&& delta);
 };
 
 }  // namespace internal
@@ -99,8 +107,9 @@ class Variable {
 };
 
 // Runs reverse-mode accumulation from `loss`, which must be a 1x1
-// scalar. Gradients accumulate into every reachable node with
-// requires_grad (directly or through its descendants).
+// scalar. Gradients accumulate into every reachable node that needs
+// them (Node::NeedsGrad): parameters and the nodes between them and
+// the loss.
 void Backward(const Variable& loss);
 
 }  // namespace gradgcl

@@ -48,6 +48,16 @@ inline double HSum(__m256d v) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
+// HSum of four vectors at once: lane q of the result is
+// ((v[q].l0 + v[q].l1) + (v[q].l2 + v[q].l3)), the pinned combine, from
+// two hadds (pairwise sums) and one add of their 128-bit halves.
+inline __m256d HSum4(const __m256d v[4]) {
+  const __m256d h01 = _mm256_hadd_pd(v[0], v[1]);  // 01 of v0, v1 | 23 of v0, v1
+  const __m256d h23 = _mm256_hadd_pd(v[2], v[3]);  // 01 of v2, v3 | 23 of v2, v3
+  return _mm256_add_pd(_mm256_permute2f128_pd(h01, h23, 0x20),
+                       _mm256_permute2f128_pd(h01, h23, 0x31));
+}
+
 // Mask selecting the first `w` of 4 lanes (w in [0, 4]).
 inline __m256i LaneMask(int64_t w) {
   alignas(32) int64_t bits[4];
@@ -258,16 +268,25 @@ void GemmTransBAvx2(const double* a, const double* b, double* c, int64_t ldc,
           acc1[q] = _mm256_fmadd_pd(av1, bv, acc1[q]);
         }
       }
+      const __m256d d0 = HSum4(acc0);
+      const __m256d d1 = HSum4(acc1);
+      if (ktail == k) {
+        const __m256d s = _mm256_set1_pd(scale);
+        _mm256_storeu_pd(c0 + j, _mm256_mul_pd(d0, s));
+        _mm256_storeu_pd(c1 + j, _mm256_mul_pd(d1, s));
+        continue;
+      }
+      alignas(32) double t0[4], t1[4];
+      _mm256_store_pd(t0, d0);
+      _mm256_store_pd(t1, d1);
       for (int q = 0; q < 4; ++q) {
         const double* brow = b + (j + q) * k;
-        double d0 = HSum(acc0[q]);
-        double d1 = HSum(acc1[q]);
         for (int64_t kk = ktail; kk < k; ++kk) {
-          d0 = std::fma(a0[kk], brow[kk], d0);
-          d1 = std::fma(a1[kk], brow[kk], d1);
+          t0[q] = std::fma(a0[kk], brow[kk], t0[q]);
+          t1[q] = std::fma(a1[kk], brow[kk], t1[q]);
         }
-        c0[j + q] = d0 * scale;
-        c1[j + q] = d1 * scale;
+        c0[j + q] = t0[q] * scale;
+        c1[j + q] = t1[q] * scale;
       }
     }
     for (; j < m; ++j) {

@@ -4,6 +4,7 @@
 // reproduction rests on.
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -416,6 +417,84 @@ TEST(AutogradTape, DeepChainBackward) {
   for (int i = 0; i < 50; ++i) h = ag::Tanh(h);
   Backward(ag::Sum(h));
   EXPECT_TRUE(x.grad().AllFinite());
+}
+
+TEST(AutogradTape, ConstantsOnlyBranchGetsNoGradient) {
+  // A GIN-style first layer: the aggregation S·X sees only constants, so
+  // the MatMul backward must not compute G·Wᵀ for it.
+  const SparseMatrix s(3, 3, {{0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 1.0},
+                              {2, 2, 1.0}});
+  Rng rng(56);
+  const Variable x(Matrix::RandomNormal(3, 4, rng));
+  const Variable h = ag::SparseLeftMatMul(s, x);
+  Variable w = Param(4, 2, 57);
+  Backward(ag::Sum(ag::Square(ag::MatMul(h, w))));
+  EXPECT_FALSE(h.node()->NeedsGrad());
+  EXPECT_FALSE(h.node()->grad_initialized);
+  EXPECT_FALSE(x.node()->grad_initialized);
+  EXPECT_TRUE(w.node()->grad_initialized);
+  // An op fed only by the constant branch stays off the tape too.
+  EXPECT_FALSE(ag::Relu(h).node()->NeedsGrad());
+
+  ExpectGradOk(
+      [s, x](const VarList& in) {
+        return ag::Sum(ag::Square(ag::MatMul(ag::SparseLeftMatMul(s, x),
+                                             in[0])));
+      },
+      {Param(4, 2, 58)});
+}
+
+TEST(AutogradTape, ReluBackwardEdgeInputs) {
+  // The mask is `x <= 0 ? 0 : g`: NaN fails the comparison and passes the
+  // gradient through; both zeros block it; any positive value, however
+  // tiny, passes it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  Variable x(Matrix{{nan, -0.0, 0.0, denorm, 1e-300, -1e-300}},
+             /*requires_grad=*/true);
+  const Matrix upstream{{2.0, -3.0, 5.0, -7.0, 11.0, 13.0}};
+  Backward(ag::Sum(ag::Hadamard(ag::Relu(x), Variable(upstream))));
+  const Matrix& g = x.grad();
+  const double expected[] = {2.0, 0.0, 0.0, -7.0, 11.0, 0.0};
+  for (int i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(g.at_flat(i), expected[i]) << "entry " << i;
+    EXPECT_FALSE(std::signbit(g.at_flat(i)) && g.at_flat(i) == 0.0)
+        << "blocked entry " << i << " must be +0.0";
+  }
+}
+
+TEST(AutogradTape, CopiedSparseOperatorSharesStorage) {
+  SparseMatrix s(3, 3, {{0, 1, 2.0}, {1, 0, -1.0}, {2, 2, 0.5}});
+  const SparseMatrix copy = s;
+  EXPECT_EQ(copy.row_offsets().data(), s.row_offsets().data());
+  EXPECT_EQ(copy.col_indices().data(), s.col_indices().data());
+  EXPECT_EQ(copy.values().data(), s.values().data());
+  // The source stays usable after the copy.
+  const Matrix x = Matrix::Ones(3, 2);
+  EXPECT_TRUE(AllClose(s.Multiply(x), copy.Multiply(x), 0.0));
+  EXPECT_EQ(s.nnz(), 3);
+
+  // The backward closure keeps the storage alive after the caller's
+  // operator is gone.
+  Variable a = Param(3, 2, 59);
+  Variable loss;
+  {
+    const SparseMatrix scoped(3, 3, {{0, 0, 1.0}, {2, 1, 3.0}});
+    loss = ag::Sum(ag::SparseLeftMatMul(scoped, a));
+  }
+  Backward(loss);
+  EXPECT_TRUE(AllClose(a.grad(),
+                       Matrix{{1.0, 1.0}, {3.0, 3.0}, {0.0, 0.0}}, 0.0));
+}
+
+TEST(AutogradTapeDeathTest, AccumulateGradChecksShape) {
+  internal::Node node;
+  node.value = Matrix(2, 3, 0.0);
+  EXPECT_DEATH(node.AccumulateGrad(Matrix(3, 2, 1.0)), "GRADGCL_CHECK");
+  const Matrix wrong(2, 2, 1.0);
+  EXPECT_DEATH(node.AccumulateGrad(wrong), "GRADGCL_CHECK");
+  node.AccumulateGrad(Matrix(2, 3, 1.0));  // first touch adopts
+  EXPECT_DEATH(node.AccumulateGrad(Matrix(2, 2, 1.0)), "GRADGCL_CHECK");
 }
 
 TEST(AutogradTapeDeathTest, NonScalarBackwardAborts) {

@@ -37,31 +37,14 @@
 #include "models/graphcl.h"
 #include "train/trainer.h"
 
-// Binary-wide heap-allocation counter (the obs_test idiom): the
-// corruption tests assert that a rejecting reader never allocates
-// memory sized from untrusted fields. The replaceable array forms
-// forward here per the standard's default definitions.
-namespace {
-std::atomic<uint64_t> g_heap_new_calls{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Heap-allocation counter: the corruption tests assert that a rejecting
+// reader never allocates memory sized from untrusted fields.
+#include "alloc_counter.h"
 
 namespace gradgcl::data {
 namespace {
 
 namespace fs = std::filesystem;
-
-uint64_t HeapNewCalls() {
-  return g_heap_new_calls.load(std::memory_order_relaxed);
-}
 
 // Fresh per-test directory under the gtest temp root.
 std::string TestDir(const char* name) {

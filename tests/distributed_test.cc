@@ -54,6 +54,10 @@
 #include "models/graphcl.h"
 #include "train/trainer.h"
 
+// Heap-allocation counter: the corruption tests assert that a rejecting
+// checkpoint loader never allocates memory sized from untrusted fields.
+#include "alloc_counter.h"
+
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
 #define GRADGCL_TEST_UNDER_SANITIZER 1
@@ -64,31 +68,11 @@
 #define GRADGCL_TEST_UNDER_SANITIZER 1
 #endif
 
-// Binary-wide heap-allocation counter (the data_test idiom): the
-// corruption tests assert that a rejecting checkpoint loader never
-// allocates memory sized from untrusted header fields.
-namespace {
-std::atomic<uint64_t> g_heap_new_calls{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-
 namespace gradgcl {
 namespace dist {
 namespace {
 
 namespace fs = std::filesystem;
-
-uint64_t HeapNewCalls() {
-  return g_heap_new_calls.load(std::memory_order_relaxed);
-}
 
 std::string TestPath(const char* name) {
   const std::string path = std::string(::testing::TempDir()) + "/" + name;

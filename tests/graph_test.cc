@@ -1,6 +1,8 @@
 #include "graph/graph.h"
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -183,6 +185,142 @@ TEST(BatchTest, IndexSubsetSelection) {
   EXPECT_EQ(batch.labels[0], graphs[2].label);
 }
 
+// The triplet-list assembly MakeBatch used before it built CSR directly:
+// per graph, the diagonal then both directions of every stored edge,
+// summed by the triplet constructor. The direct builder must match it
+// bit for bit.
+struct TripletOperators {
+  SparseMatrix norm_adj;
+  SparseMatrix adj_self;
+};
+
+TripletOperators BuildWithTriplets(const std::vector<Graph>& graphs) {
+  std::vector<Triplet> norm;
+  std::vector<Triplet> self;
+  int offset = 0;
+  for (const Graph& g : graphs) {
+    std::vector<int> deg(g.num_nodes, 0);
+    for (const auto& [u, v] : g.edges) {
+      ++deg[u];
+      ++deg[v];
+    }
+    for (int i = 0; i < g.num_nodes; ++i) {
+      norm.push_back({offset + i, offset + i,
+                      1.0 / (static_cast<double>(deg[i]) + 1.0)});
+      self.push_back({offset + i, offset + i, 1.0});
+    }
+    for (const auto& [u, v] : g.edges) {
+      const double w =
+          1.0 / std::sqrt((deg[u] + 1.0)) / std::sqrt((deg[v] + 1.0));
+      norm.push_back({offset + u, offset + v, w});
+      norm.push_back({offset + v, offset + u, w});
+      self.push_back({offset + u, offset + v, 1.0});
+      self.push_back({offset + v, offset + u, 1.0});
+    }
+    offset += g.num_nodes;
+  }
+  return {SparseMatrix(offset, offset, std::move(norm)),
+          SparseMatrix(offset, offset, std::move(self))};
+}
+
+void ExpectSameCsr(const SparseMatrix& got, const SparseMatrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_offsets(), want.row_offsets());
+  EXPECT_EQ(got.col_indices(), want.col_indices());
+  ASSERT_EQ(got.values().size(), want.values().size());
+  EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                        sizeof(double) * want.values().size()),
+            0);
+}
+
+void ExpectMatchesTripletBuild(const std::vector<Graph>& graphs) {
+  const GraphBatch batch = MakeBatch(graphs);
+  const TripletOperators want = BuildWithTriplets(graphs);
+  ExpectSameCsr(batch.norm_adj, want.norm_adj);
+  ExpectSameCsr(batch.adj_self, want.adj_self);
+  int row = 0;
+  for (size_t k = 0; k < graphs.size(); ++k) {
+    EXPECT_EQ(batch.labels[k], graphs[k].label);
+    const Matrix& f = graphs[k].features;
+    EXPECT_EQ(std::memcmp(batch.features.data() +
+                              static_cast<size_t>(row) * f.cols(),
+                          f.data(), sizeof(double) * f.size()),
+              0);
+    for (int i = 0; i < graphs[k].num_nodes; ++i) {
+      EXPECT_EQ(batch.segments[row + i], static_cast<int>(k));
+    }
+    row += graphs[k].num_nodes;
+  }
+  EXPECT_EQ(batch.total_nodes, row);
+}
+
+Graph GraphWithEdges(int n, std::vector<std::pair<int, int>> edges,
+                     uint64_t seed) {
+  Graph g;
+  g.num_nodes = n;
+  g.edges = std::move(edges);
+  Rng rng(seed);
+  g.features = Matrix::RandomNormal(n, 2, rng);  // PathGraph's width
+  g.label = static_cast<int>(seed % 3);
+  return g;
+}
+
+// Random simple graph; each edge is stored in a random orientation.
+Graph RandomGraph(Rng& rng, uint64_t seed) {
+  const int n = 1 + rng.UniformInt(30);
+  std::vector<std::pair<int, int>> edges;
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) {
+      if (!rng.Bernoulli(0.15)) continue;
+      if (rng.Bernoulli(0.5)) {
+        edges.emplace_back(u, v);
+      } else {
+        edges.emplace_back(v, u);
+      }
+    }
+  }
+  // Shuffle the stored order so rows are filled out of column order.
+  for (int i = static_cast<int>(edges.size()) - 1; i > 0; --i) {
+    std::swap(edges[i], edges[rng.UniformInt(i + 1)]);
+  }
+  return GraphWithEdges(n, std::move(edges), seed);
+}
+
+TEST(BatchTest, DirectCsrMatchesTripletBuildOnRandomGraphs) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Graph> graphs;
+    const int count = 1 + rng.UniformInt(8);
+    for (int k = 0; k < count; ++k) {
+      graphs.push_back(RandomGraph(rng, 100 * trial + k));
+    }
+    ExpectMatchesTripletBuild(graphs);
+  }
+}
+
+TEST(BatchTest, DirectCsrMatchesTripletBuildOnEdgeCases) {
+  const Graph edgeless = GraphWithEdges(5, {}, 1);
+  const Graph single = GraphWithEdges(1, {}, 2);
+  const Graph isolated = GraphWithEdges(6, {{0, 1}, {2, 1}}, 3);
+  // Edges stored in both orientations, so rows fill in both directions.
+  const Graph mixed = GraphWithEdges(4, {{0, 1}, {2, 1}, {3, 0}, {1, 3}}, 4);
+  // One edge stored twice, once each way: both builders sum the copies.
+  const Graph doubled = GraphWithEdges(3, {{0, 1}, {1, 0}, {1, 2}}, 5);
+  ExpectMatchesTripletBuild({edgeless});
+  ExpectMatchesTripletBuild({single});
+  ExpectMatchesTripletBuild({isolated});
+  ExpectMatchesTripletBuild({mixed});
+  ExpectMatchesTripletBuild({doubled});
+  ExpectMatchesTripletBuild({single, edgeless, mixed, single, isolated,
+                             doubled, PathGraph(5), TriangleGraph()});
+}
+
+TEST(BatchDeathTest, OutOfRangeEdgeAborts) {
+  EXPECT_DEATH(MakeBatch({GraphWithEdges(3, {{0, 3}}, 6)}), "GRADGCL_CHECK");
+  EXPECT_DEATH(MakeBatch({GraphWithEdges(3, {{-1, 2}}, 7)}), "GRADGCL_CHECK");
+}
+
 TEST(BatchDeathTest, EmptyBatchAborts) {
   std::vector<Graph> empty;
   EXPECT_DEATH(MakeBatch(empty), "zero graphs");
@@ -206,7 +344,9 @@ TEST(DiffusionTest, PprDiagonalDominant) {
   const Matrix s = PprDiffusion(PathGraph(5), 0.2);
   for (int i = 0; i < 5; ++i) {
     for (int j = 0; j < 5; ++j) {
-      if (i != j) EXPECT_GT(s(i, i), s(i, j));
+      if (i != j) {
+        EXPECT_GT(s(i, i), s(i, j));
+      }
     }
   }
 }

@@ -33,28 +33,12 @@
 #include "tensor/pool.h"
 #include "train/trainer.h"
 
-// Binary-wide heap-allocation counter: PoolStats only counts matrix
-// buffers, so the metrics hot path needs its own probe. The replaceable
-// array forms forward here per the standard's default definitions.
-namespace {
-std::atomic<uint64_t> g_heap_new_calls{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Heap-allocation counter: PoolStats only counts matrix buffers, so the
+// metrics and trace hot paths need their own probe.
+#include "alloc_counter.h"
 
 namespace gradgcl {
 namespace {
-
-uint64_t HeapNewCalls() {
-  return g_heap_new_calls.load(std::memory_order_relaxed);
-}
 
 std::string Slurp(const std::string& path) {
   std::ifstream in(path);

@@ -43,30 +43,14 @@
 #include "retrieval/store.h"
 #include "tensor/ops.h"
 
-// Binary-wide heap-allocation counter (the data_test idiom): the
-// corruption tests assert that a rejecting store never allocates
-// memory sized from untrusted header fields.
-namespace {
-std::atomic<uint64_t> g_heap_new_calls{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Heap-allocation counter: the corruption tests assert that a rejecting
+// store never allocates memory sized from untrusted header fields.
+#include "alloc_counter.h"
 
 namespace gradgcl::retrieval {
 namespace {
 
 namespace fs = std::filesystem;
-
-uint64_t HeapNewCalls() {
-  return g_heap_new_calls.load(std::memory_order_relaxed);
-}
 
 class ThreadGuard {
  public:

@@ -73,6 +73,42 @@ TEST(SparseDeathTest, InvalidTripletAborts) {
   EXPECT_DEATH(SparseMatrix(2, 2, {{0, -1, 1.0}}), "GRADGCL_CHECK");
 }
 
+TEST(SparseTest, FromCsrAdoptsValidArrays) {
+  const SparseMatrix s = SparseMatrix::FromCsr(3, 4, {0, 2, 2, 3}, {1, 3, 0},
+                                               {2.0, -1.0, 0.5});
+  EXPECT_EQ(s.rows(), 3);
+  EXPECT_EQ(s.cols(), 4);
+  EXPECT_EQ(s.nnz(), 3);
+  EXPECT_TRUE(AllClose(s.ToDense(), Matrix{{0, 2, 0, -1},
+                                           {0, 0, 0, 0},
+                                           {0.5, 0, 0, 0}}));
+  const SparseMatrix empty = SparseMatrix::FromCsr(2, 2, {0, 0, 0}, {}, {});
+  EXPECT_EQ(empty.nnz(), 0);
+}
+
+TEST(SparseDeathTest, FromCsrRejectsMalformedArrays) {
+  // A 2 x 3 matrix with unit values.
+  const auto from = [](std::vector<int> offsets, std::vector<int> cols) {
+    const std::vector<double> values(cols.size(), 1.0);
+    return SparseMatrix::FromCsr(2, 3, std::move(offsets), std::move(cols),
+                                 values);
+  };
+  EXPECT_DEATH(from({0, 1, 1, 2}, {0, 1}), "wrong number of row offsets");
+  EXPECT_DEATH(from({1, 1, 2}, {0, 1}), "first row offset is not 0");
+  // Final offset below and above nnz.
+  EXPECT_DEATH(from({0, 1, 1}, {0, 1}), "final row offset is not nnz");
+  EXPECT_DEATH(from({0, 1, 3}, {0, 1}), "final row offset is not nnz");
+  // Non-monotone offsets with a correct final offset.
+  EXPECT_DEATH(from({0, 2, 1}, {0}), "row offsets decrease");
+  EXPECT_DEATH(from({0, 3, 2}, {0, 1}), "row offsets decrease");
+  EXPECT_DEATH(from({0, 1, 2}, {0, 3}), "column out of range");
+  EXPECT_DEATH(from({0, 1, 2}, {-1, 0}), "column out of range");
+  EXPECT_DEATH(from({0, 2, 2}, {2, 1}), "not strictly ascending");
+  EXPECT_DEATH(from({0, 2, 2}, {1, 1}), "not strictly ascending");
+  EXPECT_DEATH(SparseMatrix::FromCsr(2, 3, {0, 1, 2}, {0, 1}, {1.0}),
+               "differ in length");
+}
+
 TEST(SparseDeathTest, MultiplyShapeMismatchAborts) {
   SparseMatrix s(2, 3, {{0, 0, 1.0}});
   Matrix x(2, 2, 0.0);  // needs 3 rows
