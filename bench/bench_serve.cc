@@ -65,7 +65,10 @@ using serve::ServeStatus;
 
 constexpr double kRunSeconds = 0.4;  // per rep
 constexpr int kReps = 5;             // best-of, as in bench_micro_ops
-constexpr int kNumWorkers = 1;       // single-core container: one executor
+// One executor per hardware thread, so the sharded-vs-single-queue
+// comparison can show submit-path contention when there are cores.
+const int kNumWorkers =
+    static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 
 struct RunConfig {
   std::string label;

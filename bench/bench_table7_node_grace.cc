@@ -75,7 +75,7 @@ int main() {
   PrintRule(48);
 
   int wins = 0, cells = 0;
-  for (const std::string& family : {"GRACE", "MVGRL", "COSTA"}) {
+  for (const char* family : {"GRACE", "MVGRL", "COSTA"}) {
     std::vector<double> raw, fg;
     for (double weight : {0.0, 0.3}) {
       std::printf("%-14s",

@@ -1,7 +1,7 @@
 // Command-line experiment runner — the library's "one binary to try
 // everything". Runs one pre-train + probe pipeline from flags:
 //
-//   gradgcl_cli --task=graph    --dataset=MUTAG  --backbone=graphcl \
+//   gradgcl_cli --task=graph    --dataset=MUTAG  --backbone=graphcl
 //               --weight=0.5    --epochs=15      --seed=1
 //   gradgcl_cli --task=node     --dataset=Cora   --backbone=grace
 //   gradgcl_cli --task=transfer --dataset=BBBP   --backbone=simgrace

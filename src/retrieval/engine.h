@@ -1,14 +1,8 @@
 // RetrievalEngine: batched nearest-neighbor serving over a retrieval
-// index, behind the same ingress machinery as serve::EmbeddingEngine
-// (DESIGN.md §8): sharded mutex+deque ingress with thread-local
-// round-robin submission and overflow, exact admission-budget
-// partitioning, size-or-deadline batch launch, deadline-respecting
-// work stealing with the parked/wake_pending/work_epoch park protocol,
-// per-request completion condvars, and a drain-or-cancel Shutdown().
-// The machinery is mirrored rather than shared so the TSAN-proven
-// serve engine stays untouched; the differences are the work unit
-// (query rows instead of graphs) and the batch executor (index scans
-// instead of a model forward).
+// index — an executor over the sharded micro-batching ingress shared
+// with serve::EmbeddingEngine (common/sharded_ingress.h, DESIGN.md §8).
+// The work unit is a query row and every request shares one batch key,
+// so any pending requests may coalesce.
 //
 // A batch is the disjoint union of whole requests; execution fans the
 // union's queries out over the worker's ParallelFor (each query's scan
@@ -16,29 +10,19 @@
 // coalescing, stealing, worker count, or timing — batching is a
 // throughput knob, never a correctness one (same contract as serve).
 //
-// Knobs: GRADGCL_RETRIEVAL_NPROBE overrides the IVF probe width when
-// RetrievalOptions::nprobe == 0; GRADGCL_SERVE_SHARDS resolves the
-// shard count exactly as in serve (shared ingress idiom).
-//
-// Observability: retrieval/requests, retrieval/rejected,
-// retrieval/batches, retrieval/queries, retrieval/steals counters,
-// per-shard retrieval/queue_depth/shard<i> gauges, and the
-// retrieval/latency_us + retrieval/batch_queries histograms; each
-// batch runs under a "retrieval/batch" trace span.
+// Observability: the ingress metrics under the "retrieval" prefix —
+// retrieval/requests, retrieval/rejected, retrieval/batches,
+// retrieval/queries, retrieval/steals counters, per-shard
+// retrieval/queue_depth/shard<i> gauges, and the retrieval/latency_us
+// + retrieval/batch_queries histograms; each batch runs under a
+// "retrieval/batch" trace span.
 
 #ifndef GRADGCL_RETRIEVAL_ENGINE_H_
 #define GRADGCL_RETRIEVAL_ENGINE_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
+#include "common/sharded_ingress.h"
 #include "retrieval/flat_index.h"
 #include "retrieval/ivf_index.h"
 
@@ -57,8 +41,8 @@ struct RetrievalOptions {
   double max_wait_micros = 200.0;
   // Admission bound, partitioned evenly across shards.
   int max_queue_queries = 4096;
-  // IVF probe width. 0 = GRADGCL_RETRIEVAL_NPROBE when set, else the
-  // index's own default. Ignored for flat indexes.
+  // IVF probe width. 0 = the index's own default. Ignored for flat
+  // indexes.
   int nprobe = 0;
   // true: pending requests complete with kShutdown at Shutdown();
   // false (default): the queues are drained first.
@@ -110,72 +94,32 @@ class RetrievalEngine {
   int QueueDepth() const;
 
   const RetrievalOptions& options() const { return options_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  int num_shards() const { return ingress_.num_shards(); }
   int dim() const;
   // Probe width resolved at construction (IVF only; 0 for flat).
   int resolved_nprobe() const { return nprobe_; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   // One in-flight request, owned by the submitting Search() frame.
-  struct Request {
+  struct Request : IngressRequest {
     const Matrix* queries = nullptr;
     int k = 0;
     std::vector<std::vector<Neighbor>> result;
-    RetrievalStatus status = RetrievalStatus::kOk;
-    Clock::time_point arrival;
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    bool done = false;
-  };
-
-  // One ingress shard (same protocol as serve::EmbeddingEngine::Shard;
-  // see serve/engine.h for the field-by-field rationale).
-  struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable work_cv;
-    std::deque<Request*> queue;
-    int queued_queries = 0;  // authoritative, guarded by mu
-    int capacity = 0;
-    std::atomic<int> depth{0};
-    std::atomic<int> parked{0};
-    std::atomic<bool> wake_pending{false};
-    obs::Gauge depth_gauge;
   };
 
   RetrievalEngine(const FlatIndex* flat, const IvfIndex* ivf,
                   const RetrievalOptions& options);
 
-  void WorkerLoop(int home_index);
-  bool LaunchDueLocked(const Shard& s, Clock::time_point now) const;
-  std::vector<Request*> PopBatchLocked(Shard& s, int* queries_in_batch);
-  void TopUpBatch(std::vector<Request*>* batch, int* queries_in_batch);
-  bool TryStealBatch(int thief_home);
+  // Scans every query row of the batch into its request's result.
   void ExecuteBatch(const std::vector<Request*>& batch);
-  void CancelShardLocked(Shard& s);
-  static void SignalDone(Request* r, RetrievalStatus status,
-                         std::vector<std::vector<Neighbor>> result);
 
   const RetrievalOptions options_;
   const FlatIndex* flat_;  // exactly one of flat_ / ivf_ is non-null
   const IvfIndex* ivf_;
-  int nprobe_ = 0;
-  const Clock::duration wait_dur_;
-  const Clock::duration steal_poll_;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> work_epoch_{0};
-  std::atomic<bool> stopping_{false};
-  std::vector<std::thread> workers_;
-
-  obs::Counter requests_total_;
-  obs::Counter rejected_total_;
-  obs::Counter batches_total_;
-  obs::Counter queries_total_;
-  obs::Counter steals_total_;
-  obs::Histogram latency_us_;
-  obs::Histogram batch_queries_;
+  const int nprobe_;
+  // Last member: its workers call ExecuteBatch, so it starts after and
+  // stops before everything above.
+  ShardedIngress<Request> ingress_;
 };
 
 }  // namespace gradgcl::retrieval

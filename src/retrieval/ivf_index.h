@@ -20,9 +20,8 @@
 //    bit-identical across ISAs (exact integer dots).
 //
 // nprobe trades recall for speed: nprobe == nlist degenerates to the
-// flat scan (same scores, same ranking — pinned by test). The env knob
-// GRADGCL_RETRIEVAL_NPROBE (read by the serving engine / bench)
-// selects the operating point.
+// flat scan (same scores, same ranking — pinned by test).
+// RetrievalOptions::nprobe selects the serving operating point.
 
 #ifndef GRADGCL_RETRIEVAL_IVF_INDEX_H_
 #define GRADGCL_RETRIEVAL_IVF_INDEX_H_

@@ -1,53 +1,12 @@
 #include "serve/engine.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <utility>
 
-#include "obs/trace.h"
 #include "tensor/pool.h"
 
 namespace gradgcl::serve {
 
 namespace {
-
-// Histogram edges are process-wide constants: re-registering the same
-// metric name requires identical edges, and every engine instance in a
-// process shares these.
-const std::vector<double>& LatencyEdgesUs() {
-  static const std::vector<double>* edges = new std::vector<double>{
-      10.0,    20.0,    50.0,     100.0,    200.0,    500.0,
-      1000.0,  2000.0,  5000.0,   10000.0,  20000.0,  50000.0,
-      100000.0, 200000.0, 500000.0, 1000000.0};
-  return *edges;
-}
-
-const std::vector<double>& BatchSizeEdges() {
-  static const std::vector<double>* edges = new std::vector<double>{
-      1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0};
-  return *edges;
-}
-
-std::chrono::steady_clock::duration MicrosDuration(double micros) {
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::micro>(micros));
-}
-
-// Shard count when ServeOptions::num_shards == 0: GRADGCL_SERVE_SHARDS
-// when set to a sane value, else one shard per worker — every shard
-// then has a home worker and the steal path is pure opportunism.
-int ResolveNumShards(const ServeOptions& options) {
-  if (options.num_shards > 0) return options.num_shards;
-  if (const char* env = std::getenv("GRADGCL_SERVE_SHARDS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1 && v <= 1024) {
-      return static_cast<int>(v);
-    }
-  }
-  return std::max(1, options.num_workers);
-}
 
 // Legacy single-session engines publish the caller-owned session as
 // version 1 of "default" in a private registry; the no-op deleter
@@ -94,51 +53,14 @@ EmbeddingEngine::EmbeddingEngine(std::unique_ptr<ModelRegistry> own_registry,
       own_registry_(std::move(own_registry)),
       registry_(own_registry_ != nullptr ? own_registry_.get() : registry),
       default_model_(registry_->Find(default_model)),
-      wait_dur_(MicrosDuration(options.max_wait_micros)),
-      // Idle workers rescan for stealable work at this interval; tied
-      // to the batching deadline (but bounded) so workerless shards
-      // are drained within a small multiple of their deadline.
-      steal_poll_(MicrosDuration(
-          std::clamp(options.max_wait_micros, 200.0, 2000.0))),
-      requests_total_(
-          obs::MetricsRegistry::Instance().GetCounter("serve/requests")),
-      rejected_total_(
-          obs::MetricsRegistry::Instance().GetCounter("serve/rejected")),
-      batches_total_(
-          obs::MetricsRegistry::Instance().GetCounter("serve/batches")),
-      graphs_total_(
-          obs::MetricsRegistry::Instance().GetCounter("serve/graphs")),
-      steals_total_(
-          obs::MetricsRegistry::Instance().GetCounter("serve/steals")),
-      latency_us_(obs::MetricsRegistry::Instance().GetHistogram(
-          "serve/latency_us", LatencyEdgesUs())),
-      batch_graphs_(obs::MetricsRegistry::Instance().GetHistogram(
-          "serve/batch_graphs", BatchSizeEdges())) {
-  GRADGCL_CHECK(options_.num_workers >= 0);
-  GRADGCL_CHECK(options_.num_shards >= 0);
-  GRADGCL_CHECK(options_.max_batch_graphs >= 1);
-  GRADGCL_CHECK(options_.max_queue_graphs >= 1);
-  GRADGCL_CHECK(options_.max_wait_micros >= 0.0);
+      ingress_(
+          IngressConfig{options.num_workers, options.num_shards,
+                        options.max_batch_graphs, options.max_wait_micros,
+                        options.max_queue_graphs,
+                        options.cancel_pending_on_shutdown, "serve", "graphs"},
+          [this](const std::vector<Request*>& batch) { ExecuteBatch(batch); }) {
   GRADGCL_CHECK_MSG(default_model_ != nullptr,
                     "serve: default model was never published");
-  const int num_shards = ResolveNumShards(options_);
-  shards_.reserve(num_shards);
-  for (int i = 0; i < num_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    // Partition the admission budget exactly: floor share plus one of
-    // the remainder slots, so the shard capacities sum to
-    // max_queue_graphs and num_shards == 1 keeps the legacy bound.
-    shard->capacity = options_.max_queue_graphs / num_shards +
-                      (i < options_.max_queue_graphs % num_shards ? 1 : 0);
-    shard->depth_gauge = obs::MetricsRegistry::Instance().GetGauge(
-        "serve/queue_depth/shard" + std::to_string(i));
-    shard->depth_gauge.Set(0.0);
-    shards_.push_back(std::move(shard));
-  }
-  workers_.reserve(options_.num_workers);
-  for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i % this->num_shards()); });
-  }
 }
 
 EmbeddingEngine::~EmbeddingEngine() { Shutdown(); }
@@ -151,7 +73,7 @@ EmbedResult EmbeddingEngine::Embed(const std::string& model,
                                    const std::vector<Graph>& graphs) {
   ModelHandle* handle = registry_->Find(model);
   if (handle == nullptr) {
-    rejected_total_.Add(1);
+    ingress_.CountRejected();
     return EmbedResult{ServeStatus::kUnknownModel, Matrix(), model, 0};
   }
   return EmbedOn(handle, graphs);
@@ -161,266 +83,27 @@ EmbedResult EmbeddingEngine::EmbedOn(ModelHandle* model,
                                      const std::vector<Graph>& graphs) {
   GRADGCL_CHECK_MSG(!graphs.empty(), "Embed needs >= 1 graph");
   Request req;
+  req.units = static_cast<int>(graphs.size());
+  req.batch_key = model;
   req.graphs = &graphs;
-  req.model = model;
-  req.arrival = Clock::now();
-  const int n = static_cast<int>(graphs.size());
-  const int num_shards = this->num_shards();
-  // Thread-local round-robin shard pick: submitters spread across
-  // shards without any shared state beyond the one-time seed.
-  static std::atomic<uint32_t> submitter_seq{0};
-  thread_local uint32_t tls_cursor =
-      submitter_seq.fetch_add(1, std::memory_order_relaxed);
-  const uint32_t start = tls_cursor++;
-  bool queued = false;
-  int queued_shard = -1;
-  for (int k = 0; k < num_shards && !queued; ++k) {
-    const int index = static_cast<int>((start + k) % num_shards);
-    Shard& s = *shards_[index];
-    std::lock_guard<std::mutex> lock(s.mu);
-    // Checked under the shard lock: Shutdown() sweeps each shard after
-    // setting stopping_, so a submit that saw stopping_ == false here
-    // is ordered before the sweep and will be drained/cancelled by it.
-    if (stopping_.load(std::memory_order_acquire)) {
-      rejected_total_.Add(1);
-      return EmbedResult{ServeStatus::kShutdown, Matrix(), {}, 0};
-    }
-    if (s.queued_graphs + n > s.capacity) continue;  // overflow to next
-    s.queue.push_back(&req);
-    s.queued_graphs += n;
-    s.depth.store(s.queued_graphs, std::memory_order_relaxed);
-    s.depth_gauge.Set(s.queued_graphs);
-    s.work_cv.notify_one();
-    queued = true;
-    queued_shard = index;
-  }
-  if (!queued) {
-    // Every shard's slice is full: explicit backpressure.
-    rejected_total_.Add(1);
-    return EmbedResult{ServeStatus::kOverloaded, Matrix(), {}, 0};
-  }
-  // Workers park only on shards 0..num_workers-1 (their home shards),
-  // so a submission to a workerless shard must wake the worker that
-  // covers it — worker (shard % num_workers), parked on the shard of
-  // the same index — or it sits until the next steal poll. The epoch
-  // bump plus the empty lock/unlock of the wake shard's mutex closes
-  // the race against a worker that already scanned and is about to
-  // park (it re-checks the epoch under its home lock before waiting).
-  if (options_.num_workers > 0 && queued_shard >= options_.num_workers) {
-    work_epoch_.fetch_add(1, std::memory_order_seq_cst);
-    Shard& wake = *shards_[queued_shard % options_.num_workers];
-    // seq_cst pairing with the worker's park protocol (increment
-    // parked, then re-check the epoch): either our bump lands before
-    // the worker's re-check (it rescans instead of parking), or the
-    // worker's parked increment is visible here and we wake it. The
-    // empty lock/unlock serializes the notify against a worker that
-    // incremented parked but has not yet released the mutex in wait().
-    // The wake_pending latch dedupes a stampede of cross-shard
-    // submitters down to one notify; a stale latch is wiped by the
-    // worker at park entry, after which the epoch re-check (ordered
-    // seq_cst after the wipe) observes our bump.
-    if (wake.parked.load(std::memory_order_seq_cst) > 0 &&
-        !wake.wake_pending.exchange(true, std::memory_order_seq_cst)) {
-      { std::lock_guard<std::mutex> wake_lock(wake.mu); }
-      wake.work_cv.notify_one();
-    }
-  }
-  {
-    std::unique_lock<std::mutex> lock(req.done_mu);
-    req.done_cv.wait(lock, [&] { return req.done; });
-  }
-  latency_us_.Observe(std::chrono::duration<double, std::micro>(
-                          Clock::now() - req.arrival)
-                          .count());
-  requests_total_.Add(1);
   EmbedResult out;
-  out.status = req.status;
-  out.embeddings = std::move(req.result);
-  if (req.status == ServeStatus::kOk) {
-    out.model_name = model->name();
-    out.model_version = req.version;
+  switch (ingress_.Submit(&req)) {
+    case IngressStatus::kOk:
+      out.embeddings = std::move(req.result);
+      out.model_name = model->name();
+      out.model_version = req.version;
+      break;
+    case IngressStatus::kOverloaded:
+      out.status = ServeStatus::kOverloaded;
+      break;
+    case IngressStatus::kShutdown:
+      out.status = ServeStatus::kShutdown;
+      break;
   }
   return out;
 }
 
-bool EmbeddingEngine::LaunchDueLocked(const Shard& s,
-                                      Clock::time_point now) const {
-  if (s.queue.empty()) return false;
-  if (s.queued_graphs >= options_.max_batch_graphs) return true;
-  if (wait_dur_.count() == 0) return true;  // launch-when-free
-  return now >= s.queue.front()->arrival + wait_dur_;
-}
-
-void EmbeddingEngine::WorkerLoop(int home_index) {
-  Shard& home = *shards_[home_index];
-  std::unique_lock<std::mutex> lock(home.mu);
-  for (;;) {
-    const bool stop = stopping_.load(std::memory_order_acquire);
-    if (stop && options_.cancel_pending_on_shutdown) {
-      CancelShardLocked(home);
-      return;
-    }
-    if (!home.queue.empty() &&
-        (stop || LaunchDueLocked(home, Clock::now()))) {
-      int graphs = 0;
-      std::vector<Request*> batch = PopBatchLocked(home, &graphs);
-      lock.unlock();
-      TopUpBatch(&batch, &graphs);
-      ExecuteBatch(batch);
-      lock.lock();
-      continue;
-    }
-    if (stop && home.queue.empty()) return;  // Shutdown() sweeps the rest
-    // Home is empty or still filling toward its deadline: look for due
-    // work on other shards before sleeping.
-    const uint64_t epoch = work_epoch_.load(std::memory_order_acquire);
-    lock.unlock();
-    const bool stole = TryStealBatch(home_index);
-    lock.lock();
-    if (stole) continue;
-    if (stopping_.load(std::memory_order_acquire)) continue;
-    // Park protocol: announce the park (parked++), THEN re-check the
-    // epoch. A cross-shard submission between the steal scan above and
-    // the waits below either bumped the epoch before our re-check (we
-    // rescan instead of parking) or read parked > 0 after its bump and
-    // will lock home.mu — which we hold until wait() releases it — and
-    // notify us. seq_cst on both sides makes the case split airtight.
-    home.wake_pending.store(false, std::memory_order_seq_cst);
-    home.parked.fetch_add(1, std::memory_order_seq_cst);
-    if (work_epoch_.load(std::memory_order_seq_cst) != epoch) {
-      home.parked.fetch_sub(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (!home.queue.empty()) {
-      // Work arrived while we were scanning: launch if it is already
-      // due, else sleep until the home deadline (capped by the steal
-      // poll so overdue work elsewhere is still picked up).
-      if (LaunchDueLocked(home, Clock::now())) {
-        home.parked.fetch_sub(1, std::memory_order_relaxed);
-        continue;
-      }
-      const auto deadline = home.queue.front()->arrival + wait_dur_;
-      home.work_cv.wait_until(lock,
-                              std::min(deadline, Clock::now() + steal_poll_));
-    } else {
-      home.work_cv.wait_for(lock, steal_poll_);
-    }
-    home.parked.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-std::vector<EmbeddingEngine::Request*> EmbeddingEngine::PopBatchLocked(
-    Shard& s, int* graphs_in_batch) {
-  std::vector<Request*> batch;
-  int graphs = 0;
-  ModelHandle* model = s.queue.empty() ? nullptr : s.queue.front()->model;
-  while (!s.queue.empty() && graphs < options_.max_batch_graphs) {
-    Request* r = s.queue.front();
-    // Whole same-model requests only; an oversized first request runs
-    // alone, and a model change ends the batch (FIFO preserved).
-    if (r->model != model) break;
-    const int n = static_cast<int>(r->graphs->size());
-    if (!batch.empty() && graphs + n > options_.max_batch_graphs) break;
-    s.queue.pop_front();
-    batch.push_back(r);
-    graphs += n;
-  }
-  s.queued_graphs -= graphs;
-  s.depth.store(s.queued_graphs, std::memory_order_relaxed);
-  s.depth_gauge.Set(s.queued_graphs);
-  *graphs_in_batch += graphs;
-  return batch;
-}
-
-void EmbeddingEngine::TopUpBatch(std::vector<Request*>* batch,
-                                 int* graphs_in_batch) {
-  if (batch->empty() || num_shards() == 1) return;
-  ModelHandle* const model = batch->front()->model;
-  // Single sweep: from each non-empty shard in turn, pop the front run
-  // of same-model requests that still fits — one lock per shard, not
-  // one scan per gathered request. Launching these early never
-  // violates their deadline (the batch is departing anyway), and the
-  // gather restores the batch sizes a single shared queue would have
-  // formed. Strict cross-shard arrival order is deliberately not
-  // enforced: everything taken here departs in this same batch, so
-  // ordering would buy nothing and cost O(shards) locks per request.
-  for (int i = 0; i < num_shards(); ++i) {
-    if (*graphs_in_batch >= options_.max_batch_graphs) return;
-    Shard& s = *shards_[i];
-    if (s.depth.load(std::memory_order_relaxed) == 0) continue;
-    std::lock_guard<std::mutex> lock(s.mu);
-    int taken = 0;
-    while (!s.queue.empty() &&
-           *graphs_in_batch < options_.max_batch_graphs) {
-      Request* r = s.queue.front();
-      if (r->model != model) break;
-      const int n = static_cast<int>(r->graphs->size());
-      if (*graphs_in_batch + n > options_.max_batch_graphs) break;
-      s.queue.pop_front();
-      batch->push_back(r);
-      *graphs_in_batch += n;
-      taken += n;
-    }
-    if (taken > 0) {
-      s.queued_graphs -= taken;
-      s.depth.store(s.queued_graphs, std::memory_order_relaxed);
-      s.depth_gauge.Set(s.queued_graphs);
-    }
-  }
-}
-
-bool EmbeddingEngine::TryStealBatch(int thief_home) {
-  // Pass 1: find the due shard with the oldest front arrival.
-  const auto now = Clock::now();
-  int best = -1;
-  Clock::time_point best_arrival{};
-  for (int i = 0; i < num_shards(); ++i) {
-    Shard& s = *shards_[i];
-    if (s.depth.load(std::memory_order_relaxed) == 0) continue;
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.queue.empty()) continue;
-    if (!stopping_.load(std::memory_order_relaxed) &&
-        !LaunchDueLocked(s, now)) {
-      continue;  // still filling toward its deadline: do not launch early
-    }
-    const Clock::time_point arrival = s.queue.front()->arrival;
-    if (best < 0 || arrival < best_arrival) {
-      best = i;
-      best_arrival = arrival;
-    }
-  }
-  if (best < 0) return false;
-  // Pass 2: re-take the winner's lock and drain one batch (it may have
-  // been drained by a racing worker in between — that is fine).
-  int graphs = 0;
-  std::vector<Request*> batch;
-  {
-    Shard& s = *shards_[best];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.queue.empty()) return false;
-    batch = PopBatchLocked(s, &graphs);
-  }
-  if (best != thief_home) steals_total_.Add(1);
-  TopUpBatch(&batch, &graphs);
-  ExecuteBatch(batch);
-  return true;
-}
-
-void EmbeddingEngine::SignalDone(Request* r, ServeStatus status, Matrix result,
-                                 uint64_t version) {
-  // Per-request completion: only this request's owner wakes. Notifying
-  // under the request's mutex is deliberate — the owner cannot return
-  // from wait() (and destroy the Request) before we release it.
-  std::lock_guard<std::mutex> lock(r->done_mu);
-  r->result = std::move(result);
-  r->status = status;
-  r->version = version;
-  r->done = true;
-  r->done_cv.notify_one();
-}
-
 void EmbeddingEngine::ExecuteBatch(const std::vector<Request*>& batch) {
-  obs::TraceScope span("serve/batch");
   // Pooled storage for batch assembly + forward: steady-state serving
   // allocates no matrix buffers from the heap.
   TapeScope tape;
@@ -428,108 +111,34 @@ void EmbeddingEngine::ExecuteBatch(const std::vector<Request*>& batch) {
   // below — forward, scatter, version tags — runs on this version even
   // if a newer one is published mid-batch.
   const std::shared_ptr<const ModelSnapshot> snapshot =
-      batch.front()->model->Acquire();
+      static_cast<const ModelHandle*>(batch.front()->batch_key)->Acquire();
   int total = 0;
-  for (const Request* r : batch) {
-    total += static_cast<int>(r->graphs->size());
-  }
+  for (const Request* r : batch) total += r->units;
   std::vector<const Graph*> ptrs;
   ptrs.reserve(total);
   for (const Request* r : batch) {
     for (const Graph& g : *r->graphs) ptrs.push_back(&g);
   }
   Matrix all = snapshot->session->EmbedGraphs(MakeBatch(ptrs));
-  batches_total_.Add(1);
-  graphs_total_.Add(static_cast<uint64_t>(total));
-  batch_graphs_.Observe(static_cast<double>(total));
   // Scatter result rows back to their requests (single-request batches
-  // take the matrix whole), then signal each owner individually.
+  // take the matrix whole).
   if (batch.size() == 1) {
-    SignalDone(batch[0], ServeStatus::kOk, std::move(all), snapshot->version);
+    batch[0]->result = std::move(all);
+    batch[0]->version = snapshot->version;
     return;
   }
   int offset = 0;
   for (Request* r : batch) {
-    const int n = static_cast<int>(r->graphs->size());
-    Matrix rows = all.RowSlice(offset, offset + n);
-    offset += n;
-    SignalDone(r, ServeStatus::kOk, std::move(rows), snapshot->version);
+    r->result = all.RowSlice(offset, offset + r->units);
+    r->version = snapshot->version;
+    offset += r->units;
   }
 }
 
-void EmbeddingEngine::CancelShardLocked(Shard& s) {
-  while (!s.queue.empty()) {
-    Request* r = s.queue.front();
-    s.queue.pop_front();
-    SignalDone(r, ServeStatus::kShutdown, Matrix(), 0);
-  }
-  s.queued_graphs = 0;
-  s.depth.store(0, std::memory_order_relaxed);
-  s.depth_gauge.Set(0.0);
-}
+void EmbeddingEngine::Shutdown() { ingress_.Shutdown(); }
 
-void EmbeddingEngine::Shutdown() {
-  stopping_.store(true, std::memory_order_release);
-  // Lock-then-notify per shard so a worker between its stopping_ check
-  // and its wait cannot miss the wakeup.
-  for (const std::unique_ptr<Shard>& s : shards_) {
-    { std::lock_guard<std::mutex> lock(s->mu); }
-    s->work_cv.notify_all();
-  }
-  for (std::thread& w : workers_) w.join();
-  workers_.clear();
-  // Settle anything still queued: workers already drained (or
-  // cancelled) their home shards; this covers num_workers == 0,
-  // workerless shards, and stragglers that were admitted before
-  // stopping_ landed. Both loops are no-ops on empty shards, so
-  // repeated Shutdown() calls are harmless.
-  if (options_.cancel_pending_on_shutdown) {
-    for (const std::unique_ptr<Shard>& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      CancelShardLocked(*s);
-    }
-  } else {
-    while (RunOneBatch()) {
-    }
-  }
-}
+bool EmbeddingEngine::RunOneBatch() { return ingress_.RunOneBatch(); }
 
-bool EmbeddingEngine::RunOneBatch() {
-  // Manual pump: drain the shard whose oldest request has waited
-  // longest, ignoring the size/deadline launch policy.
-  int best = -1;
-  Clock::time_point best_arrival{};
-  for (int i = 0; i < num_shards(); ++i) {
-    Shard& s = *shards_[i];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.queue.empty()) continue;
-    const Clock::time_point arrival = s.queue.front()->arrival;
-    if (best < 0 || arrival < best_arrival) {
-      best = i;
-      best_arrival = arrival;
-    }
-  }
-  if (best < 0) return false;
-  int graphs = 0;
-  std::vector<Request*> batch;
-  {
-    Shard& s = *shards_[best];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.queue.empty()) return false;
-    batch = PopBatchLocked(s, &graphs);
-  }
-  TopUpBatch(&batch, &graphs);
-  ExecuteBatch(batch);
-  return true;
-}
-
-int EmbeddingEngine::QueueDepth() const {
-  int depth = 0;
-  for (const std::unique_ptr<Shard>& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    depth += s->queued_graphs;
-  }
-  return depth;
-}
+int EmbeddingEngine::QueueDepth() const { return ingress_.QueueDepth(); }
 
 }  // namespace gradgcl::serve

@@ -19,16 +19,22 @@ uint64_t ModelRegistry::Publish(
     // Private constructor: can't use make_unique.
     slot.reset(new ModelHandle(name));
   }
-  const std::shared_ptr<const ModelSnapshot> prev =
-      slot->snapshot_.load(std::memory_order_relaxed);
-  const uint64_t version = prev == nullptr ? 1 : prev->version + 1;
+  // Publishers are serialized by mu_, so this read needs no handle lock.
+  const uint64_t version = slot->snapshot_ == nullptr
+                               ? 1
+                               : slot->snapshot_->version + 1;
   auto snapshot = std::make_shared<ModelSnapshot>();
   snapshot->session = std::move(session);
   snapshot->version = version;
   snapshot->model_name = name;
-  // The RCU swap: readers mid-Acquire either get `prev` (and keep it
-  // alive through their batch) or the new snapshot — never a torn mix.
-  slot->snapshot_.store(std::move(snapshot), std::memory_order_release);
+  // The RCU swap: readers mid-Acquire either get the previous snapshot
+  // (and keep it alive through their batch) or the new one — never a
+  // torn mix. The previous snapshot is released outside the lock.
+  std::shared_ptr<const ModelSnapshot> prev;
+  {
+    std::lock_guard<std::mutex> snapshot_lock(slot->mu_);
+    prev = std::exchange(slot->snapshot_, std::move(snapshot));
+  }
   swaps_total_.Add(1);
   return version;
 }

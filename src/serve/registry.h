@@ -11,17 +11,19 @@
 //  * A ModelSnapshot is immutable: a frozen InferenceSession plus the
 //    monotonically increasing version it was published as (1-based per
 //    model name). Snapshots are never mutated after Publish.
-//  * Publish(name, session) atomically swaps the name's current
-//    snapshot pointer (std::atomic<std::shared_ptr>, release store) —
-//    the RCU write side. It never blocks readers and never waits for
-//    in-flight work.
-//  * ModelHandle::Acquire() is the RCU read side: one acquire-load of
-//    the shared_ptr pins the snapshot for as long as the caller holds
-//    it. A batch that acquired version N keeps computing on version N
-//    even if version N+1 is published mid-forward; the old snapshot is
-//    reclaimed by shared_ptr refcounting once the last reader drops it.
-//    Zero downtime, zero torn reads, no reader-side locks beyond the
-//    atomic shared_ptr operation itself.
+//  * Publish(name, session) swaps the name's current snapshot pointer
+//    under the handle's mutex — the RCU write side. It never waits for
+//    in-flight work: readers already holding the old snapshot keep it.
+//  * ModelHandle::Acquire() is the RCU read side: one shared_ptr copy
+//    under the same mutex pins the snapshot for as long as the caller
+//    holds it. A batch that acquired version N keeps computing on
+//    version N even if version N+1 is published mid-forward; the old
+//    snapshot is reclaimed by shared_ptr refcounting once the last
+//    reader drops it. Zero downtime, zero torn reads. The reader side
+//    is one uncontended lock per batch, not wait-free: a plain mutex
+//    rather than std::atomic<std::shared_ptr>, which libstdc++
+//    implements with an internal lock bit (never lock-free) that
+//    ThreadSanitizer cannot model.
 //  * Handles have stable addresses for the registry's lifetime —
 //    engines resolve a name once and then do one Acquire() per batch
 //    on the hot path (no map lookups while serving).
@@ -33,7 +35,6 @@
 #ifndef GRADGCL_SERVE_REGISTRY_H_
 #define GRADGCL_SERVE_REGISTRY_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,9 +62,10 @@ class ModelHandle {
 
   // RCU read side: pins the current snapshot. Never returns nullptr
   // for a handle obtained from Find (a handle exists only after its
-  // first Publish). Wait-free apart from the atomic shared_ptr op.
+  // first Publish).
   std::shared_ptr<const ModelSnapshot> Acquire() const {
-    return snapshot_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return snapshot_;
   }
 
   const std::string& name() const { return name_; }
@@ -76,7 +78,8 @@ class ModelHandle {
   explicit ModelHandle(std::string name) : name_(std::move(name)) {}
 
   const std::string name_;
-  std::atomic<std::shared_ptr<const ModelSnapshot>> snapshot_;
+  mutable std::mutex mu_;  // guards snapshot_ (copy in, swap out)
+  std::shared_ptr<const ModelSnapshot> snapshot_;
 };
 
 class ModelRegistry {

@@ -15,7 +15,8 @@
 //      ascending-index everywhere.
 //   4. RetrievalEngine — batched serving returns exactly what direct
 //      index search returns regardless of workers/sharding/timing;
-//      admission control, manual pump, shutdown-cancel, metrics.
+//      admission control, manual pump, work stealing under concurrent
+//      submitters, shutdown-cancel, metrics.
 
 #include <atomic>
 #include <cmath>
@@ -622,7 +623,7 @@ TEST(RetrievalEngineTest, ShutdownCancelsPendingAndRejectsNewRequests) {
   EXPECT_EQ(after.status, RetrievalStatus::kShutdown);
 }
 
-TEST(RetrievalEngineTest, NprobeEnvKnobResolvesAtConstruction) {
+TEST(RetrievalEngineTest, NprobeResolvesAtConstruction) {
   const Matrix corpus = ClusteredCorpus(200, 8, 8, 49);
   IvfConfig config;
   config.nlist = 8;
@@ -634,19 +635,65 @@ TEST(RetrievalEngineTest, NprobeEnvKnobResolvesAtConstruction) {
     RetrievalEngine engine(index, options);
     EXPECT_EQ(engine.resolved_nprobe(), 2);  // index default
   }
-  ::setenv("GRADGCL_RETRIEVAL_NPROBE", "5", 1);
-  {
-    RetrievalEngine engine(index, options);
-    EXPECT_EQ(engine.resolved_nprobe(), 5);
-  }
-  ::unsetenv("GRADGCL_RETRIEVAL_NPROBE");
-  options.nprobe = 3;  // explicit option beats env
-  ::setenv("GRADGCL_RETRIEVAL_NPROBE", "7", 1);
+  options.nprobe = 3;  // explicit option beats the index default
   {
     RetrievalEngine engine(index, options);
     EXPECT_EQ(engine.resolved_nprobe(), 3);
   }
-  ::unsetenv("GRADGCL_RETRIEVAL_NPROBE");
+}
+
+// One worker homed on shard 0 of 4: requests landing on shards 1..3
+// complete only through the steal path (max_batch_queries = 1 disables
+// cross-shard top-up, so every foreign batch is a counted steal).
+TEST(RetrievalEngineTest, WorkStealingConcurrentSubmittersMatchDirectSearch) {
+  const Matrix corpus = ClusteredCorpus(300, 8, 6, 52);
+  IvfConfig config;
+  config.nlist = 6;
+  config.nprobe = 3;
+  const IvfIndex index = IvfIndex::Build(corpus, config);
+  constexpr int kClients = 8, kRequestsPerClient = 4, kK = 5;
+  Rng rng(53);
+  std::vector<Matrix> queries;
+  for (int i = 0; i < kClients * kRequestsPerClient; ++i) {
+    queries.push_back(Matrix::RandomNormal(1, 8, rng));
+  }
+  const uint64_t steals_before =
+      obs::MetricsRegistry::Instance().Snapshot().counter("retrieval/steals");
+
+  RetrievalOptions options;
+  options.num_workers = 1;
+  options.num_shards = 4;
+  options.max_batch_queries = 1;
+  options.max_wait_micros = 0.0;
+  RetrievalEngine engine(index, options);
+  std::vector<RetrievalResult> results(queries.size());
+  {
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (int r = 0; r < kRequestsPerClient; ++r) {
+          const int i = c * kRequestsPerClient + r;
+          results[i] = engine.Search(queries[i], kK);
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+  }
+  engine.Shutdown();
+  EXPECT_EQ(engine.QueueDepth(), 0);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(results[i].status, RetrievalStatus::kOk) << i;
+    ASSERT_EQ(results[i].neighbors.size(), 1u) << i;
+    ExpectSameNeighbors(results[i].neighbors[0],
+                        index.Search(queries[i].data(), kK), "steal");
+  }
+  // The submitters' round-robin shard picks guarantee requests landed
+  // off the worker's home shard, so at least one batch was stolen.
+  EXPECT_GE(
+      obs::MetricsRegistry::Instance().Snapshot().counter("retrieval/steals") -
+          steals_before,
+      1u);
 }
 
 TEST(RetrievalEngineTest, MetricsCountRequestsAndBatches) {
