@@ -132,13 +132,19 @@ Variable Transpose(const Variable& a) {
 Variable Relu(const Variable& a) {
   return Variable::MakeOp(gradgcl::Relu(a.value()), {a}, [](Node& out) {
     if (NeedsGrad(out.parents[0])) {
-      // Branch-free mask; a NaN input fails `<= 0` and passes g through.
+      // A NaN input fails `<= 0` and passes g through. Both operands
+      // are loaded unconditionally, so the select compiles to a lane
+      // compare plus AND-NOT instead of a data-dependent branch.
       const Matrix& x = out.parents[0]->value;
       Matrix g = Matrix::Uninitialized(x.rows(), x.cols());
       const double* xd = x.data();
       const double* gd = out.grad.data();
       double* od = g.data();
-      for (int i = 0; i < g.size(); ++i) od[i] = xd[i] <= 0.0 ? 0.0 : gd[i];
+      for (int i = 0; i < g.size(); ++i) {
+        const double xi = xd[i];
+        const double gi = gd[i];
+        od[i] = xi <= 0.0 ? 0.0 : gi;
+      }
       out.parents[0]->AccumulateGrad(std::move(g));
     }
   });

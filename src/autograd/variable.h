@@ -11,10 +11,15 @@
 // This mirrors the subset of torch.autograd the paper's training
 // loops rely on, at laptop scale; gradcheck.h pins correctness of
 // every op against central finite differences.
+//
+// ag::ForkJoin2 builds two independent sub-tapes (the two augmented
+// views of a contrastive step) concurrently and runs their backward
+// walks concurrently too; see its comment for the bit-identity rule.
 
 #ifndef GRADGCL_AUTOGRAD_VARIABLE_H_
 #define GRADGCL_AUTOGRAD_VARIABLE_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -41,11 +46,20 @@ struct Node {
   // no backward_fn, so backward neither visits it nor fills its grad.
   bool NeedsGrad() const { return requires_grad || backward_fn != nullptr; }
 
+  // A parameter or other leaf: gradients stop here.
+  bool IsLeaf() const { return requires_grad && backward_fn == nullptr; }
+
   // Adds `delta` into this node's gradient accumulator. The first delta
   // is copied (const&) or adopted (&&) rather than added onto zeros.
+  // During a ForkJoin2 branch walk, a delta into a leaf is captured
+  // for the join to fold in instead.
   void AccumulateGrad(const Matrix& delta);
   void AccumulateGrad(Matrix&& delta);
 };
+
+// True while the calling thread runs a ForkJoin2 branch's backward
+// walk (leaf gradients are being captured). Exposed for tests.
+bool CapturingLeafGrads();
 
 }  // namespace internal
 
@@ -111,6 +125,28 @@ class Variable {
 // them (Node::NeedsGrad): parameters and the nodes between them and
 // the loss.
 void Backward(const Variable& loss);
+
+namespace ag {
+
+// Fork-join of two independent sub-tapes: out[k] = branch(k). The two
+// calls run as the two items of one ParallelFor region (inline, 0 then
+// 1, with one thread or inside a region), each under its own
+// TapeScope when the caller has one. The branches may share leaves
+// (parameters) and constants, but no other node that needs gradients,
+// and must not touch shared mutable state (Rng draws stay outside).
+//
+// Each output that needs gradients is a copy of its branch's value
+// hanging off one join node. Backward reaches that node after both
+// outputs' gradients are final, then walks the branches' sub-tapes as
+// two pool items (an output that received no gradient is not walked).
+// Every gradient into a leaf is captured during a walk and folded in
+// afterwards on the calling thread, branch 0 first, so the result is
+// bit-identical at every thread count. It also equals one serial walk
+// of the same graph whenever each leaf receives at most one gradient
+// per branch (addition of two terms commutes).
+std::array<Variable, 2> ForkJoin2(const std::function<Variable(int)>& branch);
+
+}  // namespace ag
 
 }  // namespace gradgcl
 

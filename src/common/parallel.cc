@@ -421,6 +421,12 @@ void SetNumThreads(int n) { ThreadPool::Instance().Resize(n); }
 
 bool InParallelRegion() { return tls_in_region; }
 
+InlineRegionScope::InlineRegionScope(bool active) : prev_(tls_in_region) {
+  if (active) tls_in_region = true;
+}
+
+InlineRegionScope::~InlineRegionScope() { tls_in_region = prev_; }
+
 int SpinMicros() { return ThreadPool::Instance().spin_micros(); }
 
 void SetSpinMicros(int us) { ThreadPool::Instance().set_spin_micros(us); }

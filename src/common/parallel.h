@@ -69,6 +69,23 @@ void SetNumThreads(int n);
 // nested ParallelFor calls then run inline.
 bool InParallelRegion();
 
+// While alive (and `active`), the calling thread counts as inside a
+// parallel region, so every ParallelFor it reaches runs inline. For
+// threads that each already own a core, such as data-parallel ranks:
+// a fan-out from one of them would only queue on the single pool
+// behind the others.
+class InlineRegionScope {
+ public:
+  explicit InlineRegionScope(bool active = true);
+  ~InlineRegionScope();
+
+  InlineRegionScope(const InlineRegionScope&) = delete;
+  InlineRegionScope& operator=(const InlineRegionScope&) = delete;
+
+ private:
+  bool prev_;
+};
+
 // Spin-before-park window in microseconds. Workers (and callers waiting
 // for region completion) spin on the epoch ticket this long before
 // falling back to a condvar; 0 restores pure condvar parking — the

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "distributed/comm_socket.h"
 #include "distributed/ring_allreduce.h"
@@ -137,6 +138,9 @@ DistResult RunCore(GraphSslModel& model, MicroBatchRunner& runner, int64_t n,
   GRADGCL_CHECK_MSG(A % W == 0,
                     "micro_batches_per_step must be divisible by world size");
   const int B = A / W;  // slots owned by this rank per window
+  // Every core already holds a rank: kernels and the view fork run
+  // inline instead of queueing on the one pool behind the other ranks.
+  InlineRegionScope rank_owns_core(W > 1);
   if (opt.bucket_bytes <= 0) opt.bucket_bytes = ResolveDistBucketBytes();
   if (comm != nullptr) comm->set_timeout_millis(opt.timeout_millis);
   GRADGCL_CHECK(n >= 2);

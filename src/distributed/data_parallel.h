@@ -95,7 +95,9 @@ class DataParallelTrainer {
   // Trains `model` as one rank of `comm`'s ring (comm == nullptr: the
   // single-rank degenerate case, no communication). All ranks must use
   // identical options; parameters are broadcast from rank 0 before the
-  // first step so replicas start bit-identical.
+  // first step so replicas start bit-identical. With more than one
+  // rank, the calling thread counts as inside a parallel region for the
+  // run (InlineRegionScope), so kernels and the view fork run inline.
   DistResult Run(GraphSslModel& model, const std::vector<Graph>& dataset,
                  CommBackend* comm = nullptr);
 

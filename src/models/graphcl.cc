@@ -30,12 +30,14 @@ TwoViewBatch GraphCl::EncodeTwoViews(const std::vector<Graph>& dataset,
     view1.push_back(Augment(dataset[idx], kind1, config_.aug_strength, rng));
     view2.push_back(Augment(dataset[idx], kind2, config_.aug_strength, rng));
   }
-  const GraphBatch batch1 = MakeBatch(view1);
-  const GraphBatch batch2 = MakeBatch(view2);
-  TwoViewBatch views;
-  views.u = proj_.Forward(encoder_.ForwardGraphs(batch1));
-  views.u_prime = proj_.Forward(encoder_.ForwardGraphs(batch2));
-  return views;
+  // Augmentation above stays serial: both views draw from one
+  // interleaved Rng stream. Batching, encoder and projection head of
+  // each view then run as one branch of a fork-join.
+  const std::array<Variable, 2> u = ag::ForkJoin2([&](int k) {
+    return proj_.Forward(
+        encoder_.ForwardGraphs(MakeBatch(k == 0 ? view1 : view2)));
+  });
+  return TwoViewBatch{u[0], u[1]};
 }
 
 Variable GraphCl::BatchLoss(const std::vector<Graph>& dataset,

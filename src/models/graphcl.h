@@ -34,7 +34,9 @@ class GraphCl : public GraphSslModel {
   GraphCl(const GraphClConfig& config, Rng& rng);
 
   // Builds the two projected views for dataset[indices] using the
-  // given augmentation kinds. Exposed for instrumentation benches.
+  // given augmentation kinds: serial augmentation, then each view's
+  // batch, encoder and projection as one ag::ForkJoin2 branch. Exposed
+  // for instrumentation benches.
   TwoViewBatch EncodeTwoViews(const std::vector<Graph>& dataset,
                               const std::vector<int>& indices,
                               AugmentKind kind1, AugmentKind kind2, Rng& rng);

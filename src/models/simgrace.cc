@@ -21,25 +21,19 @@ TwoViewBatch SimGrace::EncodeTwoViews(const std::vector<Graph>& dataset,
   for (int idx : indices) batch_graphs.push_back(dataset[idx]);
   const GraphBatch batch = MakeBatch(batch_graphs);
 
-  // View 1: online encoder.
-  Variable h1 = encoder_.ForwardGraphs(batch);
-
-  // View 2: perturbed copy of the online weights; its output is a
-  // stochastic constant for the optimiser (gradients flow through the
-  // online path only), hence the detach.
+  // The perturbation draws come first, serially; then the online view
+  // and the perturbed view run as the two branches of a fork-join. The
+  // perturbed view is a stochastic constant for the optimiser
+  // (gradients flow through the online path only), hence the detach;
+  // with projection on, its gradient still reaches the shared head.
   perturbed_encoder_.LoadState(
       PerturbState(encoder_.StateCopy(), config_.perturb_magnitude, rng));
-  Variable h2 = perturbed_encoder_.ForwardGraphs(batch).Detach();
-
-  TwoViewBatch views;
-  if (project) {
-    views.u = proj_.Forward(h1);
-    views.u_prime = proj_.Forward(h2);
-  } else {
-    views.u = h1;
-    views.u_prime = h2;
-  }
-  return views;
+  const std::array<Variable, 2> h = ag::ForkJoin2([&](int k) {
+    Variable view = k == 0 ? encoder_.ForwardGraphs(batch)
+                           : perturbed_encoder_.ForwardGraphs(batch).Detach();
+    return project ? proj_.Forward(view) : view;
+  });
+  return TwoViewBatch{h[0], h[1]};
 }
 
 Variable SimGrace::BatchLoss(const std::vector<Graph>& dataset,

@@ -27,7 +27,8 @@ class SimGrace : public GraphSslModel {
   SimGrace(const SimGraceConfig& config, Rng& rng);
 
   // Two views of dataset[indices]: online encoding and perturbed-
-  // encoder encoding (detached). Exposed for instrumentation benches.
+  // encoder encoding (detached), as the two ag::ForkJoin2 branches.
+  // Exposed for instrumentation benches.
   // With project = false, returns the raw encoder outputs (the
   // representations downstream tasks use) instead of the projections.
   TwoViewBatch EncodeTwoViews(const std::vector<Graph>& dataset,

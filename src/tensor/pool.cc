@@ -203,16 +203,17 @@ void SetFusedKernelsEnabled(bool enabled) {
   g_fused_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-TapeScope::TapeScope() : prev_(t_tape_scope_active) {
+TapeScope::TapeScope(bool report)
+    : prev_(t_tape_scope_active), report_(report && !prev_) {
   t_tape_scope_active = true;
-  if (!prev_ && (ProfileAllocEnabled() || obs::MetricsEnabled())) {
+  if (report_ && (ProfileAllocEnabled() || obs::MetricsEnabled())) {
     entry_ = MatrixPool::Instance().stats();
   }
 }
 
 TapeScope::~TapeScope() {
   t_tape_scope_active = prev_;
-  if (prev_) return;
+  if (!report_) return;
   const bool profile = ProfileAllocEnabled();
   const bool metrics = obs::MetricsEnabled();
   if (!profile && !metrics) return;

@@ -110,10 +110,12 @@ void SetFusedKernelsEnabled(bool enabled);
 // a TapeScope is active on the current thread (and PoolingEnabled()),
 // Matrix buffers allocated on this thread come from the pool. Scopes
 // nest; the outermost one reports the step's allocation delta when
-// GRADGCL_PROFILE_ALLOC=1.
+// GRADGCL_PROFILE_ALLOC=1 or metrics are on. The counters are
+// process-wide, so a scope opened on a helper thread for part of a
+// step (an ag::ForkJoin2 branch) passes report = false.
 class TapeScope {
  public:
-  TapeScope();
+  explicit TapeScope(bool report = true);
   ~TapeScope();
 
   TapeScope(const TapeScope&) = delete;
@@ -124,6 +126,7 @@ class TapeScope {
 
  private:
   bool prev_;
+  bool report_;      // outermost on this thread, and asked to report
   PoolStats entry_;  // snapshot for the GRADGCL_PROFILE_ALLOC report
 };
 

@@ -11,6 +11,7 @@
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 
 namespace gradgcl {
 namespace {
@@ -446,21 +447,44 @@ TEST(AutogradTape, ConstantsOnlyBranchGetsNoGradient) {
 
 TEST(AutogradTape, ReluBackwardEdgeInputs) {
   // The mask is `x <= 0 ? 0 : g`: NaN fails the comparison and passes the
-  // gradient through; both zeros block it; any positive value, however
-  // tiny, passes it.
+  // gradient through; both zeros and -inf block it; any positive value,
+  // however tiny, passes it. The row is long enough for the vectorised
+  // loop body and its scalar tail, and the select must give the same
+  // bits under the scalar table and the vector one.
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   const double denorm = std::numeric_limits<double>::denorm_min();
-  Variable x(Matrix{{nan, -0.0, 0.0, denorm, 1e-300, -1e-300}},
-             /*requires_grad=*/true);
-  const Matrix upstream{{2.0, -3.0, 5.0, -7.0, 11.0, 13.0}};
-  Backward(ag::Sum(ag::Hadamard(ag::Relu(x), Variable(upstream))));
-  const Matrix& g = x.grad();
-  const double expected[] = {2.0, 0.0, 0.0, -7.0, 11.0, 0.0};
-  for (int i = 0; i < g.size(); ++i) {
-    EXPECT_EQ(g.at_flat(i), expected[i]) << "entry " << i;
-    EXPECT_FALSE(std::signbit(g.at_flat(i)) && g.at_flat(i) == 0.0)
-        << "blocked entry " << i << " must be +0.0";
+  const double x_row[] = {nan,     -0.0,   0.0,     denorm, 1e-300,
+                          -1e-300, inf,    -inf,    -nan,   -denorm,
+                          2.5,     -2.5,   1.0,     -1.0,   denorm * 3,
+                          -inf,    inf,    nan,     0.0};
+  const double expected[] = {2.0,  0.0,  0.0,   -7.0, 11.0, 0.0, 17.0,
+                             0.0,  23.0, 0.0,   31.0, 0.0,  41.0, 0.0,
+                             47.0, 0.0,  59.0,  61.0, 0.0};
+  constexpr int kCols = 19;
+  Matrix x_value(1, kCols);
+  Matrix upstream(1, kCols);
+  const double g_row[] = {2.0,  -3.0, 5.0,  -7.0, 11.0, 13.0, 17.0,
+                          19.0, 23.0, 29.0, 31.0, 37.0, 41.0, 43.0,
+                          47.0, 53.0, 59.0, 61.0, 67.0};
+  for (int i = 0; i < kCols; ++i) {
+    x_value(0, i) = x_row[i];
+    upstream(0, i) = g_row[i];
   }
+  const bool simd_was = simd::Enabled();
+  for (bool simd_on : {false, true}) {
+    SCOPED_TRACE(simd_on ? "vector table" : "scalar table");
+    simd::SetEnabled(simd_on);
+    Variable x(x_value, /*requires_grad=*/true);
+    Backward(ag::Sum(ag::Hadamard(ag::Relu(x), Variable(upstream))));
+    const Matrix& g = x.grad();
+    for (int i = 0; i < g.size(); ++i) {
+      EXPECT_EQ(g.at_flat(i), expected[i]) << "entry " << i;
+      EXPECT_FALSE(std::signbit(g.at_flat(i)) && g.at_flat(i) == 0.0)
+          << "blocked entry " << i << " must be +0.0";
+    }
+  }
+  simd::SetEnabled(simd_was);
 }
 
 TEST(AutogradTape, CopiedSparseOperatorSharesStorage) {

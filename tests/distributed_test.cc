@@ -44,6 +44,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "datasets/tu_synthetic.h"
 #include "distributed/checkpoint.h"
@@ -562,6 +563,68 @@ TEST(DataParallelTest, EnvConfiguredWorldBitIdenticalToSingleRank) {
         << BackendName(backend) << " rank " << r << " of " << world;
     ExpectLossesBitEqual(results[r].step_losses, ref.step_losses);
   }
+}
+
+// GraphCL that counts, per BatchLoss call, whether its thread counts as
+// inside a parallel region (so kernels and the view fork run inline).
+struct RegionTally {
+  int calls = 0;
+  int inside = 0;
+};
+
+class RegionProbeModel : public GraphCl {
+ public:
+  RegionProbeModel(const GraphClConfig& config, Rng& rng, RegionTally* tally)
+      : GraphCl(config, rng), tally_(tally) {}
+
+  Variable BatchLoss(const std::vector<Graph>& dataset,
+                     const std::vector<int>& indices, Rng& rng) override {
+    ++tally_->calls;
+    if (InParallelRegion()) ++tally_->inside;
+    return GraphCl::BatchLoss(dataset, indices, rng);
+  }
+
+ private:
+  RegionTally* tally_;
+};
+
+std::unique_ptr<GraphSslModel> MakeProbeModel(RegionTally* tally) {
+  const std::unique_ptr<GraphCl> twin = MakeModel();
+  Rng rng(6);
+  return std::make_unique<RegionProbeModel>(twin->config(), rng, tally);
+}
+
+TEST(DataParallelTest, RankThreadsRunParallelRegionsInline) {
+  const std::vector<Graph> data = TestDataset();
+  DistOptions opt = SmallOptions(/*epochs=*/1);
+
+  // One rank owns the whole pool: its regions fan out as usual.
+  opt.world_size = 1;
+  RegionTally single;
+  std::unique_ptr<GraphSslModel> model = MakeProbeModel(&single);
+  DataParallelTrainer trainer(opt);
+  ASSERT_EQ(trainer.Run(*model, data, nullptr).status, CommStatus::kOk);
+  EXPECT_GT(single.calls, 0);
+  EXPECT_EQ(single.inside, 0);
+  EXPECT_FALSE(InParallelRegion());
+
+  // Every rank of a thread ring runs as if inside a region.
+  for (int world : {2, 4}) {
+    SCOPED_TRACE("ranks " + std::to_string(world));
+    opt.world_size = world;
+    std::vector<RegionTally> tallies(static_cast<size_t>(world));
+    const std::vector<DistResult> results = RunDataParallelRanks(
+        opt, DistBackend::kThread,
+        [&](int r) { return MakeProbeModel(&tallies[static_cast<size_t>(r)]); },
+        data);
+    for (int r = 0; r < world; ++r) {
+      ASSERT_EQ(results[static_cast<size_t>(r)].status, CommStatus::kOk);
+      const RegionTally& tally = tallies[static_cast<size_t>(r)];
+      EXPECT_GT(tally.calls, 0) << "rank " << r;
+      EXPECT_EQ(tally.inside, tally.calls) << "rank " << r;
+    }
+  }
+  EXPECT_FALSE(InParallelRegion());
 }
 
 TEST(DataParallelTest, EnvKnobsResolveAndRejectGarbage) {

@@ -15,7 +15,9 @@
 #include "common/rng.h"
 #include "core/grad_gcl_loss.h"
 #include "core/gradient_features.h"
+#include "datasets/tu_synthetic.h"
 #include "losses/contrastive.h"
+#include "models/graphcl.h"
 #include "tensor/matrix.h"
 #include "tensor/pool.h"
 #include "train/optimizer.h"
@@ -281,6 +283,51 @@ TEST_F(AllocationRegressionTest, SteadyStateStepIsAllocationFree) {
   EXPECT_GT(after.pool_hits, before.pool_hits);
   EXPECT_EQ(after.pool_hits - before.pool_hits,
             after.acquires - before.acquires);  // every acquire was a hit
+  pool.Trim();
+}
+
+// The same contract for a real GraphCL(f+g) step at 4 threads, where
+// the two views' forward and backward run on pool workers (ag::ForkJoin2)
+// and their buffers cross threads before they return to the pool. The
+// batch Rng is reseeded every step, so the augmented shapes repeat.
+TEST_F(AllocationRegressionTest, GraphClForkStepIsAllocationFree) {
+  SetPoolingEnabled(true);
+  SetFusedKernelsEnabled(true);
+  SetNumThreads(4);
+  MatrixPool& pool = MatrixPool::Instance();
+
+  TuProfile profile = TuProfileByName("MUTAG");
+  profile.num_graphs = 16;
+  const std::vector<Graph> data = GenerateTuDataset(profile, 5);
+  GraphClConfig config;
+  config.encoder.in_dim = profile.feature_dim;
+  config.encoder.hidden_dim = 16;
+  config.encoder.out_dim = 16;
+  config.proj_dim = 16;
+  Rng init(3);
+  GraphCl model(config, init);
+  Adam optimizer(model.parameters(), 1e-3);
+  const std::vector<int> batch = {0, 2, 3, 5, 7, 8, 11, 13};
+  const auto step = [&] {
+    TapeScope tape;
+    optimizer.ZeroGrad();
+    Rng batch_rng(42);
+    Variable loss = model.BatchLoss(data, batch, batch_rng);
+    Backward(loss);
+    optimizer.Step();
+  };
+  for (int i = 0; i < 5; ++i) step();
+
+  const PoolStats before = pool.stats();
+  constexpr int kSteps = 5;
+  for (int i = 0; i < kSteps; ++i) step();
+  const PoolStats after = pool.stats();
+  EXPECT_EQ(after.heap_allocs, before.heap_allocs)
+      << "steady-state fork step hit the heap ("
+      << (after.heap_allocs - before.heap_allocs) << " allocations over "
+      << kSteps << " steps)";
+  EXPECT_EQ(after.pool_hits - before.pool_hits,
+            after.acquires - before.acquires);
   pool.Trim();
 }
 
