@@ -5,7 +5,8 @@
 // pooled allocator against plain heap buffers with per-step allocation
 // counters. After the google-benchmark section, a kernel-scaling grid
 // times the parallel kernels (dense matmul, the batched-graph SpMM
-// aggregation, row softmax) at 1/2/4 pool threads, checks the outputs
+// aggregation, row softmax, and a node-level GradGCL loss step with its
+// n x n backward passes) at 1/2/4/8 pool threads, checks the outputs
 // are bit-identical across thread counts, and emits BENCH_kernels.json
 // so the perf trajectory is machine-readable across PRs. A second grid
 // times the GEMM-family kernels with the scalar table (GRADGCL_SIMD=0)
@@ -25,6 +26,7 @@
 #include "common/json.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
+#include "core/grad_gcl_loss.h"
 #include "core/gradient_features.h"
 #include "datasets/tu_synthetic.h"
 #include "graph/batch.h"
@@ -260,6 +262,13 @@ void WriteKernelScalingReport(const char* path) {
   const GraphBatch batch = MakeBatch(graphs);
   const Matrix features = Matrix::RandomNormal(batch.total_nodes, 32, rng);
 
+  // train_node-shape GradGCL step: forward plus backward of the a = 0.5
+  // InfoNCE loss on two 1000 x 32 views in a TapeScope, as a training
+  // step runs it; the output is du.
+  const Matrix node_u = Matrix::RandomNormal(1000, 32, rng);
+  const Matrix node_v = Matrix::RandomNormal(1000, 32, rng);
+  const GradGclLoss node_loss{GradGclConfig{}};
+
   const std::vector<ScalingCase> cases = {
       {"matmul_64", [&] { return MatMul(a64, b64); }},
       {"matmul_128", [&] { return MatMul(a128, b128); }},
@@ -267,6 +276,14 @@ void WriteKernelScalingReport(const char* path) {
       {"matmul_512", [&] { return MatMul(a512, b512); }},
       {"spmm_imdb_batch", [&] { return batch.norm_adj.Multiply(features); }},
       {"row_softmax_1024x256", [&] { return RowSoftmax(soft); }},
+      {"gradgcl_loss_bwd_n1000",
+       [&] {
+         TapeScope tape;
+         Variable u(node_u, /*requires_grad=*/true);
+         Variable v(node_v, /*requires_grad=*/true);
+         Backward(node_loss(TwoViewBatch{u, v}));
+         return u.grad();
+       }},
   };
 
   const int restore_threads = gradgcl::NumThreads();

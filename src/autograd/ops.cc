@@ -32,9 +32,7 @@ Variable Sub(const Variable& a, const Variable& b) {
   return Variable::MakeOp(a.value() - b.value(), {a, b}, [](Node& out) {
     if (NeedsGrad(out.parents[0])) out.parents[0]->AccumulateGrad(out.grad);
     if (NeedsGrad(out.parents[1])) {
-      Matrix neg = out.grad;
-      neg *= -1.0;
-      out.parents[1]->AccumulateGrad(std::move(neg));
+      out.parents[1]->AccumulateGrad(out.grad * -1.0);
     }
   });
 }
@@ -43,11 +41,7 @@ Variable Neg(const Variable& a) { return ScalarMul(a, -1.0); }
 
 Variable ScalarMul(const Variable& a, double s) {
   return Variable::MakeOp(a.value() * s, {a}, [s](Node& out) {
-    if (NeedsGrad(out.parents[0])) {
-      Matrix g = out.grad;
-      g *= s;
-      out.parents[0]->AccumulateGrad(std::move(g));
-    }
+    if (NeedsGrad(out.parents[0])) out.parents[0]->AccumulateGrad(out.grad * s);
   });
 }
 
@@ -260,14 +254,7 @@ Variable ScaleRowsVar(const Variable& a, const Variable& scale) {
           out.parents[0]->AccumulateGrad(ScaleRows(g, out.parents[1]->value));
         }
         if (NeedsGrad(out.parents[1])) {
-          const Matrix& av = out.parents[0]->value;
-          Matrix gs(av.rows(), 1, 0.0);
-          for (int i = 0; i < av.rows(); ++i) {
-            double dot = 0.0;
-            for (int j = 0; j < av.cols(); ++j) dot += g(i, j) * av(i, j);
-            gs(i, 0) = dot;
-          }
-          out.parents[1]->AccumulateGrad(std::move(gs));
+          out.parents[1]->AccumulateGrad(RowDots(g, out.parents[0]->value));
         }
       });
 }
@@ -306,12 +293,8 @@ Variable Mean(const Variable& a) {
 Variable SumRows(const Variable& a) {
   return Variable::MakeOp(RowSum(a.value()), {a}, [](Node& out) {
     if (NeedsGrad(out.parents[0])) {
-      const Matrix& x = out.parents[0]->value;
-      Matrix g(x.rows(), x.cols());
-      for (int i = 0; i < x.rows(); ++i) {
-        for (int j = 0; j < x.cols(); ++j) g(i, j) = out.grad(i, 0);
-      }
-      out.parents[0]->AccumulateGrad(std::move(g));
+      out.parents[0]->AccumulateGrad(
+          BroadcastColumn(out.grad, out.parents[0]->value.cols()));
     }
   });
 }
@@ -352,13 +335,8 @@ Variable RowNormalize(const Variable& a, double eps) {
 
 Variable RowPairDot(const Variable& a, const Variable& b) {
   GRADGCL_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
-  Matrix out(a.rows(), 1);
-  for (int i = 0; i < a.rows(); ++i) {
-    double dot = 0.0;
-    for (int j = 0; j < a.cols(); ++j) dot += a.value()(i, j) * b.value()(i, j);
-    out(i, 0) = dot;
-  }
-  return Variable::MakeOp(std::move(out), {a, b}, [](Node& out_node) {
+  return Variable::MakeOp(RowDots(a.value(), b.value()), {a, b},
+                          [](Node& out_node) {
     const Matrix& g = out_node.grad;  // n x 1
     if (NeedsGrad(out_node.parents[0])) {
       out_node.parents[0]->AccumulateGrad(
@@ -477,8 +455,9 @@ Variable MaskedRowSoftmax(const Variable& a, const Matrix& mask) {
 // sequence of the unfused chains they replace (same kernels, same
 // rounding points), so fused and unfused paths agree bit-for-bit —
 // including across thread counts, since every kernel involved keeps
-// reductions chunk-local. tests/pool_test.cc pins the equivalence
-// with exact (not tolerance) comparisons.
+// reductions chunk-local. Their n x n passes are the row-parallel
+// backward kernels of tensor/ops.h. tests/pool_test.cc pins the
+// equivalence with exact (not tolerance) comparisons.
 
 Variable MatMulTransBScaled(const Variable& a, const Variable& b,
                             double scale) {
@@ -487,8 +466,7 @@ Variable MatMulTransBScaled(const Variable& a, const Variable& b,
       [scale](Node& out) {
         // Unfused: ScalarMul feeds G * scale into the MatMulTransB
         // node, which then produces dA = (G s) B and dB = (G s)^T A.
-        Matrix g = out.grad;
-        g *= scale;
+        const Matrix g = out.grad * scale;
         if (NeedsGrad(out.parents[0])) {
           out.parents[0]->AccumulateGrad(
               gradgcl::MatMul(g, out.parents[1]->value));
@@ -520,12 +498,8 @@ Variable MaskedExpRowSum(const Variable& s, Variable* exp_out) {
   return Variable::MakeOp(std::move(rs), {exp_s}, [](Node& out) {
     // Identical to the SumRows backward broadcast.
     if (!NeedsGrad(out.parents[0])) return;
-    const Matrix& x = out.parents[0]->value;
-    Matrix g = Matrix::Uninitialized(x.rows(), x.cols());
-    for (int i = 0; i < x.rows(); ++i) {
-      for (int j = 0; j < x.cols(); ++j) g(i, j) = out.grad(i, 0);
-    }
-    out.parents[0]->AccumulateGrad(std::move(g));
+    out.parents[0]->AccumulateGrad(
+        BroadcastColumn(out.grad, out.parents[0]->value.cols()));
   });
 }
 
@@ -538,8 +512,7 @@ Variable ScaleRowsMatMul(const Variable& a, const Variable& scale,
         const Matrix& av = out.parents[0]->value;
         const Matrix& sv = out.parents[1]->value;
         const Matrix& bv = out.parents[2]->value;
-        Matrix g = out.grad;
-        g *= post;
+        const Matrix g = out.grad * post;
         const bool need_a = NeedsGrad(out.parents[0]);
         const bool need_s = NeedsGrad(out.parents[1]);
         // Grad of the (unstored) scaled-rows intermediate, as the
@@ -547,15 +520,7 @@ Variable ScaleRowsMatMul(const Variable& a, const Variable& scale,
         Matrix ga;
         if (need_a || need_s) ga = gradgcl::MatMulTransB(g, bv);
         if (need_a) out.parents[0]->AccumulateGrad(ScaleRows(ga, sv));
-        if (need_s) {
-          Matrix gs(av.rows(), 1, 0.0);
-          for (int i = 0; i < av.rows(); ++i) {
-            double dot = 0.0;
-            for (int j = 0; j < av.cols(); ++j) dot += ga(i, j) * av(i, j);
-            gs(i, 0) = dot;
-          }
-          out.parents[1]->AccumulateGrad(std::move(gs));
-        }
+        if (need_s) out.parents[1]->AccumulateGrad(RowDots(ga, av));
         if (NeedsGrad(out.parents[2])) {
           // Recomputing diag(s) a costs the same FP ops as the forward
           // ScaleRows did in the unfused path, so the bits match the
@@ -570,8 +535,7 @@ Variable MatMulScaled(const Variable& a, const Variable& b, double post) {
   Matrix y = gradgcl::MatMul(a.value(), b.value());
   y *= post;
   return Variable::MakeOp(std::move(y), {a, b}, [post](Node& out) {
-    Matrix g = out.grad;
-    g *= post;
+    const Matrix g = out.grad * post;
     if (NeedsGrad(out.parents[0])) {
       out.parents[0]->AccumulateGrad(
           gradgcl::MatMulTransB(g, out.parents[1]->value));
@@ -587,63 +551,18 @@ Variable OffDiagSigmoid(const Variable& a) {
   return Variable::MakeOp(
       gradgcl::OffDiagSigmoid(a.value()), {a}, [](Node& out) {
         if (!NeedsGrad(out.parents[0])) return;
-        const int n = out.value.rows();
-        Matrix g = out.grad;
-        for (int i = 0; i < n; ++i) {
-          for (int j = 0; j < n; ++j) {
-            if (i == j) {
-              g(i, j) *= 0.0;  // the unfused mask's G_ii * 0.0
-            } else {
-              const double s = out.value(i, j);
-              g(i, j) *= s * (1.0 - s);
-            }
-          }
-        }
-        out.parents[0]->AccumulateGrad(std::move(g));
+        out.parents[0]->AccumulateGrad(
+            OffDiagSigmoidGrad(out.value, out.grad));
       });
 }
 
 Variable LogSumExpOffDiag(const Variable& a) {
-  const Matrix& x = a.value();
-  GRADGCL_CHECK(x.rows() == x.cols());
-  const int64_t n = x.rows();
-  GRADGCL_CHECK_MSG(n >= 2, "LogSumExpOffDiag needs >= 2 rows");
-  Matrix out = Matrix::Uninitialized(x.rows(), 1);
-  const double* xdata = x.data();
-  double* odata = out.data();
-  // Row-local (hence thread-count-invariant), and the same j-ascending
-  // max/sum order as LogSumExpRows under the off-diagonal mask.
-  const int64_t grain = std::max<int64_t>(1, (int64_t{1} << 15) / n);
-  // ~one exp + compare per masked element, per the parallel.h cost
-  // model's transcendental weighting.
-  ParallelFor(0, n, grain, /*cost_per_iter=*/16 * n,
-              [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const double* xrow = xdata + i * n;
-      double mx = -1e300;
-      for (int64_t j = 0; j < n; ++j) {
-        if (j != i) mx = std::max(mx, xrow[j]);
-      }
-      double z = 0.0;
-      for (int64_t j = 0; j < n; ++j) {
-        if (j != i) z += std::exp(xrow[j] - mx);
-      }
-      odata[i] = mx + std::log(z);
-    }
-  });
-  return Variable::MakeOp(std::move(out), {a}, [](Node& out_node) {
-    if (!NeedsGrad(out_node.parents[0])) return;
-    const Matrix& x = out_node.parents[0]->value;
-    const Matrix& lse = out_node.value;  // n x 1
-    const Matrix& g = out_node.grad;     // n x 1
-    Matrix gx(x.rows(), x.cols(), 0.0);
-    for (int i = 0; i < x.rows(); ++i) {
-      for (int j = 0; j < x.cols(); ++j) {
-        if (j != i) gx(i, j) = g(i, 0) * std::exp(x(i, j) - lse(i, 0));
-      }
-    }
-    out_node.parents[0]->AccumulateGrad(std::move(gx));
-  });
+  return Variable::MakeOp(
+      gradgcl::LogSumExpOffDiag(a.value()), {a}, [](Node& out) {
+        if (!NeedsGrad(out.parents[0])) return;
+        out.parents[0]->AccumulateGrad(LogSumExpOffDiagGrad(
+            out.parents[0]->value, out.value, out.grad));
+      });
 }
 
 Variable AddRowBroadcast(const Variable& a, const Variable& row) {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 
+#include "tensor/ops.h"
 #include "tensor/pool.h"
 #include "tensor/simd.h"
 
@@ -224,13 +225,21 @@ void Matrix::Reshape(int rows, int cols) {
   cols_ = cols;
 }
 
-// Serial strided arithmetic routes through the active SIMD table; the
+// Strided arithmetic routes through the active SIMD table; the
 // elementwise kernels are one rounding per element, so the bits never
-// depend on the SIMD mode.
+// depend on the SIMD mode or, for the chunk-parallel +=, on the thread
+// count. += is the tape's gradient accumulation (autograd/variable.cc),
+// where n x n deltas meet, so it carries the memory-bound cost weight.
 
 Matrix& Matrix::operator+=(const Matrix& other) {
   GRADGCL_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  simd::Active().add(data_, other.data_, size());
+  const simd::KernelTable& kt = simd::Active();
+  double* dst = data_;
+  const double* src = other.data_;
+  ParallelFor(0, size(), kElementwiseGrain, kMemoryBoundCost,
+              [&](int64_t begin, int64_t end) {
+                kt.add(dst + begin, src + begin, end - begin);
+              });
   return *this;
 }
 
@@ -241,7 +250,7 @@ Matrix& Matrix::operator-=(const Matrix& other) {
 }
 
 Matrix& Matrix::operator*=(double s) {
-  simd::Active().scale(data_, size(), s);
+  simd::Active().scale(data_, data_, size(), s);
   return *this;
 }
 

@@ -18,11 +18,6 @@ int64_t RowGrain(int64_t work_per_row) {
   return grain < 1 ? 1 : grain;
 }
 
-// Cost-model hint (common/parallel.h) for transcendental-heavy
-// elementwise work: exp/log/tanh cost roughly this many FLOP
-// equivalents each.
-constexpr int64_t kTranscendentalCost = 16;
-
 // GEMM tile grains for ParallelFor2D: at least 8 output rows (two
 // 3/2-row microkernel passes plus slack) and 64 output columns (eight
 // kNr=8 B panels) per tile, so each tile amortizes its panel packs.
@@ -199,6 +194,115 @@ Matrix OffDiagSigmoid(const Matrix& s) {
   return out;
 }
 
+Matrix LogSumExpOffDiag(const Matrix& x) {
+  GRADGCL_CHECK(x.rows() == x.cols());
+  const int64_t n = x.rows();
+  GRADGCL_CHECK_MSG(n >= 2, "LogSumExpOffDiag needs >= 2 rows");
+  Matrix out = Matrix::Uninitialized(x.rows(), 1);
+  const double* xdata = x.data();
+  double* odata = out.data();
+  ParallelFor(0, n, RowGrain(n), n * kTranscendentalCost,
+              [&](int64_t r0, int64_t r1) {
+    for (int64_t i = r0; i < r1; ++i) {
+      const double* xrow = xdata + i * n;
+      double mx = -1e300;
+      for (int64_t j = 0; j < n; ++j) {
+        if (j != i) mx = std::max(mx, xrow[j]);
+      }
+      double z = 0.0;
+      for (int64_t j = 0; j < n; ++j) {
+        if (j != i) z += std::exp(xrow[j] - mx);
+      }
+      odata[i] = mx + std::log(z);
+    }
+  });
+  return out;
+}
+
+Matrix LogSumExpOffDiagGrad(const Matrix& x, const Matrix& lse,
+                            const Matrix& g) {
+  GRADGCL_CHECK(x.rows() == x.cols());
+  GRADGCL_CHECK(lse.rows() == x.rows() && lse.cols() == 1);
+  GRADGCL_CHECK(g.rows() == x.rows() && g.cols() == 1);
+  const int64_t n = x.rows();
+  Matrix out = Matrix::Uninitialized(x.rows(), x.cols());
+  const double* xdata = x.data();
+  const double* ldata = lse.data();
+  const double* gdata = g.data();
+  double* odata = out.data();
+  ParallelFor(0, n, RowGrain(n), n * kTranscendentalCost,
+              [&](int64_t r0, int64_t r1) {
+    for (int64_t i = r0; i < r1; ++i) {
+      const double* xrow = xdata + i * n;
+      double* orow = odata + i * n;
+      const double gi = gdata[i];
+      const double li = ldata[i];
+      for (int64_t j = 0; j < n; ++j) {
+        orow[j] = j == i ? 0.0 : gi * std::exp(xrow[j] - li);
+      }
+    }
+  });
+  return out;
+}
+
+Matrix OffDiagSigmoidGrad(const Matrix& sig, const Matrix& g) {
+  GRADGCL_CHECK(sig.rows() == sig.cols());
+  GRADGCL_CHECK(g.rows() == sig.rows() && g.cols() == sig.cols());
+  const int64_t n = sig.rows();
+  Matrix out = Matrix::Uninitialized(sig.rows(), sig.cols());
+  const double* sdata = sig.data();
+  const double* gdata = g.data();
+  double* odata = out.data();
+  ParallelFor(0, n, RowGrain(n), n * kMemoryBoundCost,
+              [&](int64_t r0, int64_t r1) {
+    for (int64_t i = r0; i < r1; ++i) {
+      const double* srow = sdata + i * n;
+      const double* grow = gdata + i * n;
+      double* orow = odata + i * n;
+      for (int64_t j = 0; j < n; ++j) {
+        const double s = srow[j];
+        orow[j] = grow[j] * (j == i ? 0.0 : s * (1.0 - s));
+      }
+    }
+  });
+  return out;
+}
+
+Matrix BroadcastColumn(const Matrix& col, int cols) {
+  GRADGCL_CHECK(col.cols() == 1 && cols >= 0);
+  const int64_t m = cols;
+  Matrix out = Matrix::Uninitialized(col.rows(), cols);
+  const double* cdata = col.data();
+  double* odata = out.data();
+  ParallelFor(0, col.rows(), RowGrain(m), m * kMemoryBoundCost,
+              [&](int64_t r0, int64_t r1) {
+    for (int64_t i = r0; i < r1; ++i) {
+      std::fill(odata + i * m, odata + (i + 1) * m, cdata[i]);
+    }
+  });
+  return out;
+}
+
+Matrix RowDots(const Matrix& a, const Matrix& b) {
+  GRADGCL_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
+  const int64_t cols = a.cols();
+  Matrix out = Matrix::Uninitialized(a.rows(), 1);
+  const double* adata = a.data();
+  const double* bdata = b.data();
+  double* odata = out.data();
+  ParallelFor(0, a.rows(), RowGrain(cols), cols * kMemoryBoundCost,
+              [&](int64_t r0, int64_t r1) {
+    for (int64_t i = r0; i < r1; ++i) {
+      const double* arow = adata + i * cols;
+      const double* brow = bdata + i * cols;
+      double dot = 0.0;
+      for (int64_t j = 0; j < cols; ++j) dot += arow[j] * brow[j];
+      odata[i] = dot;
+    }
+  });
+  return out;
+}
+
 Matrix Hadamard(const Matrix& a, const Matrix& b) {
   GRADGCL_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
   Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
@@ -206,7 +310,7 @@ Matrix Hadamard(const Matrix& a, const Matrix& b) {
   const double* bdata = b.data();
   double* odata = out.data();
   const simd::KernelTable& kt = simd::Active();
-  ParallelFor(0, a.size(), kElementwiseGrain, /*cost_per_iter=*/2,
+  ParallelFor(0, a.size(), kElementwiseGrain, kMemoryBoundCost,
               [&](int64_t begin, int64_t end) {
                 kt.hadamard(odata + begin, adata + begin, bdata + begin,
                             end - begin);
@@ -227,8 +331,15 @@ Matrix operator-(const Matrix& a, const Matrix& b) {
 }
 
 Matrix operator*(const Matrix& a, double s) {
-  Matrix out = a;
-  out *= s;
+  Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
+  const double* adata = a.data();
+  double* odata = out.data();
+  const simd::KernelTable& kt = simd::Active();
+  // The in-place scale's kernel, writing to a fresh buffer.
+  ParallelFor(0, a.size(), kElementwiseGrain, kMemoryBoundCost,
+              [&](int64_t begin, int64_t end) {
+                kt.scale(odata + begin, adata + begin, end - begin, s);
+              });
   return out;
 }
 
@@ -397,7 +508,7 @@ Matrix RowNormalize(const Matrix& a, double eps) {
       double* orow = odata + i * cols;
       const double norm = std::sqrt(kt.sumsq(orow, cols));
       if (norm < eps) continue;
-      kt.scale(orow, cols, 1.0 / norm);
+      kt.scale(orow, orow, cols, 1.0 / norm);
     }
   });
   return out;
@@ -516,14 +627,15 @@ Matrix SegmentMean(const Matrix& a, const std::vector<int>& segments,
 Matrix ScaleRows(const Matrix& a, const Matrix& scale) {
   GRADGCL_CHECK(scale.rows() == a.rows() && scale.cols() == 1);
   const int64_t cols = a.cols();
-  Matrix out = a;
+  Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
+  const double* adata = a.data();
   const double* sdata = scale.data();
   double* odata = out.data();
   const simd::KernelTable& kt = simd::Active();
-  ParallelFor(0, a.rows(), RowGrain(cols), /*cost_per_iter=*/cols,
+  ParallelFor(0, a.rows(), RowGrain(cols), cols * kMemoryBoundCost,
               [&](int64_t r0, int64_t r1) {
     for (int64_t i = r0; i < r1; ++i) {
-      kt.scale(odata + i * cols, cols, sdata[i]);
+      kt.scale(odata + i * cols, adata + i * cols, cols, sdata[i]);
     }
   });
   return out;

@@ -53,16 +53,65 @@ Matrix ScaleRowsMatMulScaled(const Matrix& a, const Matrix& row_scale,
 // forced to 0.0 — bit-identical to Hadamard(sigmoid(s), offdiag_mask).
 Matrix OffDiagSigmoid(const Matrix& s);
 
+// n x 1 row-wise log-sum-exp of a square x (n >= 2) over the
+// off-diagonal entries: LogSumExpRows under the off-diagonal mask, with
+// the same j-ascending max and sum order.
+Matrix LogSumExpOffDiag(const Matrix& x);
+
+// --- Backward passes of the n x n tape nodes ----------------------------------
+// Row-parallel, and every output element is written once (no copy then
+// modify, no zero fill then overwrite). Each element's expression and
+// each row's reduction order are fixed, independent of the chunking and
+// of the SIMD table, so the bits are the same at every thread count and
+// equal the plain serial loop's (tests/backward_kernels_test.cc).
+
+// LogSumExpOffDiag's input gradient: g_i * exp(x_ij - lse_i) off the
+// diagonal, +0.0 on it. lse and g are n x 1.
+Matrix LogSumExpOffDiagGrad(const Matrix& x, const Matrix& lse,
+                            const Matrix& g);
+
+// OffDiagSigmoid's input gradient from its output `sig`:
+// g_ij * (s_ij (1 - s_ij)) off the diagonal and g_ii * 0.0 on it (the
+// unfused mask's product: a negative g_ii gives -0.0, a non-finite one
+// NaN).
+Matrix OffDiagSigmoidGrad(const Matrix& sig, const Matrix& g);
+
+// rows(col) x cols matrix whose row i repeats col(i, 0): the backward
+// of a row sum.
+Matrix BroadcastColumn(const Matrix& col, int cols);
+
+// Column vector of per-row dot products Σ_j a(i, j) b(i, j), summed
+// j-ascending in plain scalar order: the backward of a row scale.
+Matrix RowDots(const Matrix& a, const Matrix& b);
+
 // --- Elementwise arithmetic -------------------------------------------------
 
 Matrix operator+(const Matrix& a, const Matrix& b);
 Matrix operator-(const Matrix& a, const Matrix& b);
+// a * s in one pass (a scaled copy): the same bits as copying a and
+// then scaling it in place.
 Matrix operator*(const Matrix& a, double s);
 Matrix operator*(double s, const Matrix& a);
 
 // Minimum elements per chunk before an elementwise kernel fans out to
 // the thread pool; below this the dispatch overhead dominates.
 inline constexpr int64_t kElementwiseGrain = 1 << 14;
+
+// Per-element weights for the cost model (common/parallel.h), in the
+// FLOP equivalents its threshold counts. exp/log/tanh cost roughly
+// this many each.
+inline constexpr int64_t kTranscendentalCost = 16;
+
+// Memory-bound passes (scaled copy, Hadamard, +=, column broadcast,
+// row dots): one or two loads and a store per element, which a FLOP
+// count of 1-2 undersells. Over 1M elements in a TapeScope on a 4-vCPU
+// AVX2 host, a Hadamard takes 1.1-1.7 ms serial and 0.30-0.33 ms on 4
+// threads, the one-pass scaled copy 0.78-0.98 and 0.20-0.22 ms
+// (copy-then-scale: 1.1-1.5 ms), so an n x n pass at n = 1000 should
+// fan out. At this weight the default 2^23 threshold fans out passes
+// of more than ~700K elements, while n x d tensors and 64-graph
+// batches (<= ~80K elements) stay on the direct serial call.
+inline constexpr int64_t kMemoryBoundCost = 12;
 
 // Applies `fn` elementwise. Templated so callers' lambdas inline into
 // the loop (the old std::function signature paid an indirect call per
@@ -142,7 +191,7 @@ Matrix SegmentSum(const Matrix& a, const std::vector<int>& segments,
 Matrix SegmentMean(const Matrix& a, const std::vector<int>& segments,
                    int num_segments);
 
-// Broadcast-multiplies each row i of a by scale(i, 0).
+// Broadcast-multiplies each row i of a by scale(i, 0), in one pass.
 Matrix ScaleRows(const Matrix& a, const Matrix& scale);
 
 // Stacks b below a (column counts must match).

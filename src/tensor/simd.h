@@ -114,10 +114,11 @@ struct KernelTable {
   double (*sum)(const double* x, int64_t n);
   double (*sumsq)(const double* x, int64_t n);
 
-  // y += x / y -= x / x *= s / out = a ⊙ b, one rounding per element.
+  // y += x / y -= x / out = x * s / out = a ⊙ b, one rounding per
+  // element. scale may run in place (out == x).
   void (*add)(double* y, const double* x, int64_t n);
   void (*sub)(double* y, const double* x, int64_t n);
-  void (*scale)(double* x, int64_t n, double s);
+  void (*scale)(double* out, const double* x, int64_t n, double s);
   void (*hadamard)(double* out, const double* a, const double* b, int64_t n);
 
   // One Adam step over n contiguous parameters (w, m, v updated in

@@ -150,7 +150,7 @@ inline void MicroKernelDispatch(int64_t r, const double* a, int64_t lda,
   }
 }
 
-void ScaleAvx2(double* x, int64_t n, double s);
+void ScaleAvx2(double* out, const double* x, int64_t n, double s);
 
 template <bool Scaled>
 void GemmAvx2Impl(const double* a, int64_t lda, const double* b, int64_t ldb,
@@ -179,7 +179,7 @@ void GemmAvx2Impl(const double* a, int64_t lda, const double* b, int64_t ldb,
     }
   }
   if (post != 1.0) {
-    for (int64_t i = 0; i < rows; ++i) ScaleAvx2(c + i * ldc, m, post);
+    for (int64_t i = 0; i < rows; ++i) ScaleAvx2(c + i * ldc, c + i * ldc, m, post);
   }
 }
 
@@ -322,13 +322,13 @@ void SubAvx2(double* y, const double* x, int64_t n) {
   for (; i < n; ++i) y[i] -= x[i];
 }
 
-void ScaleAvx2(double* x, int64_t n, double s) {
+void ScaleAvx2(double* out, const double* x, int64_t n, double s) {
   const __m256d sv = _mm256_set1_pd(s);
   int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), sv));
+    _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), sv));
   }
-  for (; i < n; ++i) x[i] *= s;
+  for (; i < n; ++i) out[i] = x[i] * s;
 }
 
 void HadamardAvx2(double* out, const double* a, const double* b, int64_t n) {

@@ -120,8 +120,8 @@ inline void SubScalar(double* y, const double* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] -= x[i];
 }
 
-inline void ScaleScalar(double* x, int64_t n, double s) {
-  for (int64_t i = 0; i < n; ++i) x[i] *= s;
+inline void ScaleScalar(double* out, const double* x, int64_t n, double s) {
+  for (int64_t i = 0; i < n; ++i) out[i] = x[i] * s;
 }
 
 inline void HadamardScalar(double* out, const double* a, const double* b,

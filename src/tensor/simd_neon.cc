@@ -59,7 +59,7 @@ inline void FmaRow(double* crow, const double* brow, double av, int64_t m) {
   for (; j < m; ++j) crow[j] = std::fma(av, brow[j], crow[j]);
 }
 
-void ScaleNeon(double* x, int64_t n, double s);
+void ScaleNeon(double* out, const double* x, int64_t n, double s);
 
 void GemmNeon(const double* a, int64_t lda, const double* b, int64_t ldb,
               double* c, int64_t ldc, int64_t rows, int64_t k, int64_t m,
@@ -80,7 +80,7 @@ void GemmNeon(const double* a, int64_t lda, const double* b, int64_t ldb,
     }
   }
   if (post != 1.0) {
-    for (int64_t i = 0; i < rows; ++i) ScaleNeon(c + i * ldc, m, post);
+    for (int64_t i = 0; i < rows; ++i) ScaleNeon(c + i * ldc, c + i * ldc, m, post);
   }
 }
 
@@ -131,13 +131,13 @@ void SubNeon(double* y, const double* x, int64_t n) {
   for (; i < n; ++i) y[i] -= x[i];
 }
 
-void ScaleNeon(double* x, int64_t n, double s) {
+void ScaleNeon(double* out, const double* x, int64_t n, double s) {
   const float64x2_t sv = vdupq_n_f64(s);
   int64_t i = 0;
   for (; i + 2 <= n; i += 2) {
-    vst1q_f64(x + i, vmulq_f64(vld1q_f64(x + i), sv));
+    vst1q_f64(out + i, vmulq_f64(vld1q_f64(x + i), sv));
   }
-  for (; i < n; ++i) x[i] *= s;
+  for (; i < n; ++i) out[i] = x[i] * s;
 }
 
 void HadamardNeon(double* out, const double* a, const double* b, int64_t n) {

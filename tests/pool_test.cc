@@ -19,7 +19,9 @@
 #include "losses/contrastive.h"
 #include "models/graphcl.h"
 #include "tensor/matrix.h"
+#include "tensor/ops.h"
 #include "tensor/pool.h"
+#include "tensor/simd.h"
 #include "train/optimizer.h"
 
 namespace gradgcl {
@@ -477,6 +479,126 @@ TEST_F(FusedEquivalenceTest, EuclideanFeaturesBitIdenticalAcrossThreads) {
     EXPECT_TRUE(BitIdentical(EuclideanGradientFeatures(mu, mv), ref))
         << threads << " threads";
   }
+}
+
+// --- Fused losses with the kernels on the pool ------------------------------
+// The cases above use n <= 19, where no kernel reaches the pool. These
+// run the fused losses at n = 400 with the cost threshold at 0, so every
+// cost-hinted kernel, forward and the n x n backward passes alike,
+// splits into several chunks (400 rows exceed the 2^15 / 400 row grain
+// and 400^2 elements exceed kElementwiseGrain), and compare them to the
+// unfused composition run on one thread with heap buffers.
+
+class FusedFanOutTest : public PoolEnvironmentTest {
+ protected:
+  void SetUp() override {
+    PoolEnvironmentTest::SetUp();
+    simd_ = simd::Enabled();
+    min_cost_ = internal::MinParallelCost();
+  }
+  void TearDown() override {
+    internal::SetMinParallelCost(min_cost_);
+    simd::SetEnabled(simd_);
+    PoolEnvironmentTest::TearDown();
+  }
+
+ private:
+  bool simd_ = true;
+  int64_t min_cost_ = 0;
+};
+
+template <typename Fn>
+EvalResult EvalInTape(bool fused, bool pooled, const Matrix& mu,
+                      const Matrix& mv, Fn&& fn) {
+  SetPoolingEnabled(pooled);
+  TapeScope tape;
+  return EvalWithGrads(fused, mu, mv, Matrix(), fn);
+}
+
+// Value, du and dv of the fused loss at 1, 2 and 4 threads, pooled and
+// unpooled, memcmp-equal to the unfused one-thread reference, under
+// each SIMD table.
+template <typename Fn>
+void ExpectFanOutMatchesUnfused(int n, int d, uint64_t seed, Fn&& loss) {
+  Rng rng(seed);
+  const Matrix mu = Matrix::RandomNormal(n, d, rng);
+  const Matrix mv = Matrix::RandomNormal(n, d, rng);
+  for (bool simd_on : {false, true}) {
+    simd::SetEnabled(simd_on);
+    SetNumThreads(1);
+    const EvalResult ref = EvalInTape(false, false, mu, mv, loss);
+    for (int threads : {1, 2, 4}) {
+      SetNumThreads(threads);
+      for (bool pooled : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (simd_on ? "simd" : "scalar") << ", " << threads
+                     << " threads, " << (pooled ? "pooled" : "unpooled"));
+        const EvalResult got = EvalInTape(true, pooled, mu, mv, loss);
+        EXPECT_TRUE(BitIdentical(got.value, ref.value));
+        EXPECT_TRUE(BitIdentical(got.du, ref.du));
+        EXPECT_TRUE(BitIdentical(got.dv, ref.dv));
+      }
+    }
+  }
+}
+
+TEST_F(FusedFanOutTest, GradGclLossInfoNceMatchesUnfusedExactly) {
+  internal::SetMinParallelCost(0);
+  GradGclLoss loss_fn(GradGclConfig{});  // InfoNCE, a = 0.5
+  ExpectFanOutMatchesUnfused(400, 12, 29, [&](const Variable& u,
+                                              const Variable& v) {
+    return loss_fn(TwoViewBatch{u, v});
+  });
+}
+
+TEST_F(FusedFanOutTest, GradGclLossJsdMatchesUnfusedExactly) {
+  internal::SetMinParallelCost(0);
+  GradGclConfig config;
+  config.loss = LossKind::kJsd;
+  GradGclLoss loss_fn(config);
+  ExpectFanOutMatchesUnfused(400, 12, 31, [&](const Variable& u,
+                                              const Variable& v) {
+    return loss_fn(TwoViewBatch{u, v});
+  });
+}
+
+TEST_F(FusedFanOutTest, InfoNceMatchesUnfusedExactly) {
+  internal::SetMinParallelCost(0);
+  ExpectFanOutMatchesUnfused(400, 12, 37, [](const Variable& u,
+                                             const Variable& v) {
+    return InfoNce(u, v, 0.5);
+  });
+}
+
+TEST_F(FusedFanOutTest, DefaultThresholdFansOutNodeScalePasses) {
+  // The multi-core default threshold: a 1000 x 1000 memory-bound pass
+  // fans out, a 64-graph batch's n x d tensors (<= ~80K elements) do
+  // not.
+  internal::SetMinParallelCost(int64_t{1} << 23);
+  SetNumThreads(4);
+  const int64_t node_pass = 1000 * 1000;
+  const int64_t batch_pass = 80000;
+  EXPECT_TRUE(internal::ShouldParallelize(node_pass, kElementwiseGrain,
+                                          node_pass * kMemoryBoundCost));
+  EXPECT_FALSE(internal::ShouldParallelize(batch_pass, kElementwiseGrain,
+                                           batch_pass * kMemoryBoundCost));
+
+  // The train_node shape end to end: GradGCL a = 0.5 at n = 1000, d = 32
+  // on 4 threads against the unfused loss on one.
+  Rng rng(41);
+  const Matrix mu = Matrix::RandomNormal(1000, 32, rng);
+  const Matrix mv = Matrix::RandomNormal(1000, 32, rng);
+  GradGclLoss loss_fn(GradGclConfig{});
+  auto loss = [&](const Variable& u, const Variable& v) {
+    return loss_fn(TwoViewBatch{u, v});
+  };
+  SetNumThreads(1);
+  const EvalResult ref = EvalInTape(false, false, mu, mv, loss);
+  SetNumThreads(4);
+  const EvalResult got = EvalInTape(true, true, mu, mv, loss);
+  EXPECT_TRUE(BitIdentical(got.value, ref.value));
+  EXPECT_TRUE(BitIdentical(got.du, ref.du));
+  EXPECT_TRUE(BitIdentical(got.dv, ref.dv));
 }
 
 }  // namespace
