@@ -1,17 +1,16 @@
 // Op-level microbenchmarks (not a paper table; supports the Table VIII
 // overhead analysis): raw kernels, the InfoNCE loss, and the gradient-
-// feature op, forward and forward+backward — the loss-pipeline ops run
-// as fused/unfused pairs, and a tape-step benchmark compares the
-// pooled allocator against plain heap buffers with per-step allocation
-// counters. After the google-benchmark section, a kernel-scaling grid
-// times the parallel kernels (dense matmul, the batched-graph SpMM
-// aggregation, row softmax, and a node-level GradGCL loss step with its
-// n x n backward passes) at 1/2/4/8 pool threads, checks the outputs
-// are bit-identical across thread counts, and emits BENCH_kernels.json
-// so the perf trajectory is machine-readable across PRs. A second grid
-// times the GEMM-family kernels with the scalar table (GRADGCL_SIMD=0)
-// against the active vector table and emits BENCH_gemm.json with
-// GFLOP/s per kernel and the SIMD speedup.
+// feature op, forward and forward+backward, and a tape-step benchmark
+// that compares the pooled allocator against plain heap buffers with
+// per-step allocation counters. After the google-benchmark section, a
+// kernel-scaling grid times the parallel kernels (dense matmul, the
+// batched-graph SpMM aggregation, row softmax, and a node-level GradGCL
+// loss step with its n x n backward passes) at 1/2/4/8 pool threads,
+// checks the outputs are bit-identical across thread counts, and emits
+// BENCH_kernels.json so the perf trajectory is machine-readable across
+// PRs. A second grid times the GEMM-family kernels with the scalar table
+// (GRADGCL_SIMD=0) against the active vector table and emits
+// BENCH_gemm.json with GFLOP/s per kernel and the SIMD speedup.
 
 #include <benchmark/benchmark.h>
 
@@ -99,13 +98,8 @@ void BM_InfoNceBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_InfoNceBackward)->Arg(64)->Arg(256);
 
-// range(1) selects the kernel path: 0 = unfused reference composition,
-// 1 = fused kernels (both bit-identical; see tests/pool_test.cc).
 void BM_GradientFeaturesForward(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const bool fused = state.range(1) == 1;
-  const bool restore = FusedKernelsEnabled();
-  SetFusedKernelsEnabled(fused);
   Rng rng(6);
   Variable u(Matrix::RandomNormal(n, 32, rng));
   Variable v(Matrix::RandomNormal(n, 32, rng));
@@ -113,16 +107,11 @@ void BM_GradientFeaturesForward(benchmark::State& state) {
     benchmark::DoNotOptimize(
         InfoNceGradientFeatures(u, v, 0.5).value().FrobeniusNorm());
   }
-  state.SetLabel(fused ? "fused" : "unfused");
-  SetFusedKernelsEnabled(restore);
 }
-BENCHMARK(BM_GradientFeaturesForward)->ArgsProduct({{64, 256}, {0, 1}});
+BENCHMARK(BM_GradientFeaturesForward)->Arg(64)->Arg(256);
 
 void BM_GradientFeaturesBackward(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const bool fused = state.range(1) == 1;
-  const bool restore = FusedKernelsEnabled();
-  SetFusedKernelsEnabled(fused);
   Rng rng(8);
   Variable u(Matrix::RandomNormal(n, 32, rng), true);
   Variable v(Matrix::RandomNormal(n, 32, rng), true);
@@ -132,16 +121,11 @@ void BM_GradientFeaturesBackward(benchmark::State& state) {
     Backward(ag::Sum(InfoNceGradientFeatures(u, v, 0.5)));
     benchmark::DoNotOptimize(u.grad());
   }
-  state.SetLabel(fused ? "fused" : "unfused");
-  SetFusedKernelsEnabled(restore);
 }
-BENCHMARK(BM_GradientFeaturesBackward)->ArgsProduct({{64, 256}, {0, 1}});
+BENCHMARK(BM_GradientFeaturesBackward)->Arg(64)->Arg(256);
 
 void BM_GradGclCombinedBackward(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const bool fused = state.range(1) == 1;
-  const bool restore = FusedKernelsEnabled();
-  SetFusedKernelsEnabled(fused);
   Rng rng(7);
   Variable u(Matrix::RandomNormal(n, 32, rng), true);
   Variable v(Matrix::RandomNormal(n, 32, rng), true);
@@ -155,10 +139,8 @@ void BM_GradGclCombinedBackward(benchmark::State& state) {
     Backward(ag::Add(ag::ScalarMul(lf, 0.5), ag::ScalarMul(lg, 0.5)));
     benchmark::DoNotOptimize(u.grad());
   }
-  state.SetLabel(fused ? "fused" : "unfused");
-  SetFusedKernelsEnabled(restore);
 }
-BENCHMARK(BM_GradGclCombinedBackward)->ArgsProduct({{64, 256}, {0, 1}});
+BENCHMARK(BM_GradGclCombinedBackward)->Arg(64)->Arg(256);
 
 // A full tape step (forward, backward, grad read) under a TapeScope,
 // with the pool on (range(0) = 1) or off. The counters expose the
@@ -401,8 +383,9 @@ void WriteGemmSimdReport(const char* path) {
   }
   std::fprintf(json,
                "{\n  \"bench\": \"gemm\",\n  \"isa\": \"%s\",\n"
-               "  \"kernels\": [\n",
-               simd::IsaName(simd::CompiledIsa()));
+               "  \"hardware_threads\": %u,\n  \"kernels\": [\n",
+               simd::IsaName(simd::CompiledIsa()),
+               std::thread::hardware_concurrency());
 
   std::printf("\nGEMM SIMD dispatch (best of %d reps; isa=%s)\n", kReps,
               simd::IsaName(simd::CompiledIsa()));

@@ -2,25 +2,13 @@
 // full training epoch of each backbone/dataset pair with a = 0 (raw)
 // and a = 0.5 ((f+g)) using google-benchmark, and prints the overhead
 // ratio. Paper shape: the gradient loss adds ~2–6% wall-clock.
-//
-// A second section profiles the allocation behaviour of the hot path:
-// the Table IV GraphCL(f+g) workload is trained with the pooled tape +
-// fused kernels against the unpooled/unfused baseline, the per-step
-// heap-allocation counts and steps/sec of both legs are compared (loss
-// trajectories must agree bit for bit), and the result is written to
-// BENCH_alloc.json so the perf trajectory is machine-readable.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cstring>
 #include <map>
 #include <string>
 
 #include "bench_common.h"
-#include "common/stopwatch.h"
-#include "tensor/pool.h"
-#include "tensor/simd.h"
 
 namespace {
 
@@ -75,130 +63,6 @@ void BM_TrainEpoch(benchmark::State& state) {
                  VariantSuffix(weight) + " / " + pair.dataset);
 }
 
-// --- Allocation profile -----------------------------------------------------
-
-// One leg of the pooled/fused A-B comparison: the Table IV GraphCL(f+g)
-// workload on PROTEINS, one warm-up epoch (populates the pool buckets),
-// then `kTimedEpochs` timed epochs with the pool counters snapshotted
-// around them. The full loss trajectory is recorded for the
-// bit-identity check between legs.
-struct AllocLeg {
-  std::vector<double> losses;
-  double steps_per_sec = 0.0;
-  double heap_allocs_per_step = 0.0;
-  double heap_kb_per_step = 0.0;
-  double pool_hits_per_step = 0.0;
-};
-
-constexpr int kTimedEpochs = 3;
-
-AllocLeg RunAllocLeg(bool pooled, bool fused) {
-  obs::TraceScope leg_span(pooled ? "alloc_leg/pooled" : "alloc_leg/heap");
-  SetPoolingEnabled(pooled);
-  SetFusedKernelsEnabled(fused);
-  const std::vector<Graph>& data = DatasetFor("PROTEINS");
-  std::unique_ptr<GraphSslModel> model =
-      MakeGraphModel(Backbone::kGraphCl, data[0].feature_dim(), 0.5, 9, 24);
-  TrainOptions options;
-  options.batch_size = 64;
-  options.seed = 5;
-
-  AllocLeg leg;
-  options.epochs = 1;  // warm-up epoch (also part of the trajectory)
-  for (const EpochStats& e : TrainGraphSsl(*model, data, options)) {
-    leg.losses.push_back(e.loss);
-  }
-
-  const double steps =
-      kTimedEpochs *
-      ((static_cast<int>(data.size()) + options.batch_size - 1) /
-       options.batch_size);
-  options.epochs = kTimedEpochs;
-  const PoolStats before = MatrixPool::Instance().stats();
-  Stopwatch watch;
-  for (const EpochStats& e : TrainGraphSsl(*model, data, options)) {
-    leg.losses.push_back(e.loss);
-  }
-  const double seconds = watch.ElapsedSeconds();
-  const PoolStats after = MatrixPool::Instance().stats();
-
-  leg.steps_per_sec = steps / seconds;
-  leg.heap_allocs_per_step =
-      static_cast<double>(after.heap_allocs - before.heap_allocs) / steps;
-  leg.heap_kb_per_step =
-      static_cast<double>(after.heap_bytes - before.heap_bytes) / steps /
-      1024.0;
-  leg.pool_hits_per_step =
-      static_cast<double>(after.pool_hits - before.pool_hits) / steps;
-  return leg;
-}
-
-void PrintAllocLeg(const char* name, const AllocLeg& leg) {
-  std::printf("%-22s %12.1f %14.1f %12.1f %14.1f\n", name, leg.steps_per_sec,
-              leg.heap_allocs_per_step, leg.heap_kb_per_step,
-              leg.pool_hits_per_step);
-}
-
-void WriteAllocReport(const char* path) {
-  const bool pooled0 = PoolingEnabled();
-  const bool fused0 = FusedKernelsEnabled();
-
-  std::printf("\nAllocation profile: GraphCL(f+g) / PROTEINS, batch 64, "
-              "%d timed epochs after 1 warm-up epoch\n", kTimedEpochs);
-  std::printf("%-22s %12s %14s %12s %14s\n", "leg", "steps/sec",
-              "heap allocs/st", "heap KiB/st", "pool hits/st");
-  const AllocLeg baseline = RunAllocLeg(/*pooled=*/false, /*fused=*/false);
-  PrintAllocLeg("before (heap, unfused)", baseline);
-  const AllocLeg optimized = RunAllocLeg(/*pooled=*/true, /*fused=*/true);
-  PrintAllocLeg("after (pooled, fused)", optimized);
-  SetPoolingEnabled(pooled0);
-  SetFusedKernelsEnabled(fused0);
-
-  bool loss_bit_identical =
-      baseline.losses.size() == optimized.losses.size() &&
-      std::memcmp(baseline.losses.data(), optimized.losses.data(),
-                  baseline.losses.size() * sizeof(double)) == 0;
-  // A step that averages under one heap allocation is allocation-free
-  // in steady state; clamp so the reduction factor stays finite.
-  const double alloc_reduction =
-      baseline.heap_allocs_per_step /
-      std::max(optimized.heap_allocs_per_step, 1.0);
-  const double speedup = optimized.steps_per_sec / baseline.steps_per_sec;
-  std::printf("heap allocations/step: %.0fx fewer; steps/sec: %.2fx; "
-              "loss trajectory bit-identical: %s\n",
-              alloc_reduction, speedup, loss_bit_identical ? "yes" : "NO");
-
-  std::FILE* json = std::fopen(path, "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"alloc\",\n");
-  std::fprintf(json, "  \"workload\": %s,\n",
-               JsonString("GraphCL(f+g) PROTEINS batch=64").c_str());
-  std::fprintf(json, "  \"timed_epochs\": %d,\n", kTimedEpochs);
-  std::fprintf(json, "  \"simd\": \"%s\",\n",
-               simd::IsaName(simd::ActiveIsa()));
-  const auto leg_json = [json](const char* name, const AllocLeg& leg) {
-    std::fprintf(json,
-                 "  %s: {\"steps_per_sec\": %.3f, "
-                 "\"heap_allocs_per_step\": %.2f, "
-                 "\"heap_kb_per_step\": %.2f, "
-                 "\"pool_hits_per_step\": %.2f},\n",
-                 JsonString(name).c_str(), leg.steps_per_sec,
-                 leg.heap_allocs_per_step, leg.heap_kb_per_step,
-                 leg.pool_hits_per_step);
-  };
-  leg_json("before", baseline);
-  leg_json("after", optimized);
-  std::fprintf(json, "  \"alloc_reduction_x\": %.1f,\n", alloc_reduction);
-  std::fprintf(json, "  \"speedup_x\": %.3f,\n", speedup);
-  std::fprintf(json, "  \"loss_bit_identical\": %s\n}\n",
-               loss_bit_identical ? "true" : "false");
-  std::fclose(json);
-  std::printf("wrote %s\n", path);
-}
-
 }  // namespace
 
 BENCHMARK(BM_TrainEpoch)
@@ -224,7 +88,6 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  WriteAllocReport("BENCH_alloc.json");
   gradgcl::bench::FinishObservability();
   std::printf(
       "\nTable VIII reading: compare each backbone's (f+g) row against "

@@ -31,23 +31,17 @@
 namespace gradgcl {
 
 // Differentiable gradient features of the InfoNCE loss (paper Eq. 6).
-// u, v are n x d with n >= 2; returns n x d. Uses the fused kernels
-// (tensor/pool.h FusedKernelsEnabled()) unless GRADGCL_FUSED=0; both
-// paths are bit-identical.
+// u, v are n x d with n >= 2; returns n x d. Built from fused kernels
+// (CosineGram, MaskedExpRowSum, ScaleRowsMatMul); tests/pool_test.cc
+// checks them bit for bit against the op-by-op composition kept in
+// tests/reference_losses.h.
 Variable InfoNceGradientFeatures(const Variable& u, const Variable& v,
                                  double tau);
 
 // Differentiable gradient features of the JSD loss:
 //   g_i = −σ(−u_i·v_i)/n · v_i + Σ_{j≠i} σ(u_i·v_j)/(n(n−1)) · v_j.
-// Fused/unfused dispatch as for InfoNCE.
+// Fused and reference-checked as for InfoNCE.
 Variable JsdGradientFeatures(const Variable& u, const Variable& v);
-
-// The op-by-op reference implementations the fused paths are verified
-// against (exact equality in tests/pool_test.cc; also the baseline leg
-// of bench_micro_ops / BENCH_alloc.json).
-Variable InfoNceGradientFeaturesUnfused(const Variable& u, const Variable& v,
-                                        double tau);
-Variable JsdGradientFeaturesUnfused(const Variable& u, const Variable& v);
 
 // Differentiable gradient features of the SCE (GraphMAE) loss:
 //   g_i = −γ(1 − c_i)^{γ−1} · (v̂_i − c_i û_i) / |u_i|,  c_i = cos(u_i, v_i).

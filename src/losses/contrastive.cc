@@ -1,35 +1,19 @@
 #include "losses/contrastive.h"
 
-#include "tensor/pool.h"
-
 namespace gradgcl {
 
 namespace {
 
-// Off-diagonal 0/1 mask of size n x n.
-Matrix OffDiagonalMask(int n) {
-  Matrix mask(n, n, 1.0);
-  for (int i = 0; i < n; ++i) mask(i, i) = 0.0;
-  return mask;
-}
-
 // One direction of InfoNce: anchors `a` against candidates `b`
-// (positives on the diagonal, negatives off-diagonal). The fused path
-// (default) collapses the Gram/scale and masked log-sum-exp chains;
-// both paths are bit-identical.
+// (positives on the diagonal, negatives off-diagonal). The Gram/scale
+// and masked log-sum-exp chains run as fused kernels, bit-identical to
+// the op-by-op composition in tests/reference_losses.h.
 Variable InfoNceDirected(const Variable& a, const Variable& b, double tau) {
-  const int n = a.rows();
   Variable an = ag::RowNormalize(a);
   Variable bn = ag::RowNormalize(b);
-  if (FusedKernelsEnabled()) {
-    Variable sim = ag::MatMulTransBScaled(an, bn, 1.0 / tau);
-    Variable pos = ag::ScalarMul(ag::RowPairDot(an, bn), 1.0 / tau);
-    Variable denom = ag::LogSumExpOffDiag(sim);                     // n x 1
-    return ag::Mean(ag::Sub(denom, pos));
-  }
-  Variable sim = ag::ScalarMul(ag::MatMulTransB(an, bn), 1.0 / tau);
+  Variable sim = ag::MatMulTransBScaled(an, bn, 1.0 / tau);
   Variable pos = ag::ScalarMul(ag::RowPairDot(an, bn), 1.0 / tau);  // n x 1
-  Variable denom = ag::LogSumExpRows(sim, OffDiagonalMask(n));      // n x 1
+  Variable denom = ag::LogSumExpOffDiag(sim);                       // n x 1
   return ag::Mean(ag::Sub(denom, pos));
 }
 

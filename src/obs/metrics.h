@@ -22,7 +22,8 @@
 // the trainer / pool / parallel substrate: it is on when GRADGCL_METRICS
 // names a JSONL output path (see obs/collapse.h) or after
 // SetMetricsEnabled(true). When off, every built-in hook reduces to one
-// relaxed atomic load — BENCH_alloc.json-visible behaviour is unchanged.
+// relaxed atomic load, so perfbench's --trace 0 timings and the pool's
+// allocation counters (tests/pool_test.cc) are unchanged.
 // The registry itself always works; tests and custom callers may use it
 // regardless of the flag.
 

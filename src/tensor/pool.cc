@@ -1,7 +1,6 @@
 #include "tensor/pool.h"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <new>
@@ -56,18 +55,7 @@ bool EnvFlagDefaultOn(const char* name) {
   return !(v[0] == '0' && v[1] == '\0');
 }
 
-bool EnvFlagDefaultOff(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && !(v[0] == '0' && v[1] == '\0');
-}
-
 std::atomic<bool> g_pooling_enabled{EnvFlagDefaultOn("GRADGCL_POOL")};
-std::atomic<bool> g_fused_enabled{EnvFlagDefaultOn("GRADGCL_FUSED")};
-
-bool ProfileAllocEnabled() {
-  static const bool enabled = EnvFlagDefaultOff("GRADGCL_PROFILE_ALLOC");
-  return enabled;
-}
 
 thread_local bool t_tape_scope_active = false;
 
@@ -195,47 +183,23 @@ void SetPoolingEnabled(bool enabled) {
   g_pooling_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-bool FusedKernelsEnabled() {
-  return g_fused_enabled.load(std::memory_order_relaxed);
-}
-
-void SetFusedKernelsEnabled(bool enabled) {
-  g_fused_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 TapeScope::TapeScope(bool report)
     : prev_(t_tape_scope_active), report_(report && !prev_) {
   t_tape_scope_active = true;
-  if (report_ && (ProfileAllocEnabled() || obs::MetricsEnabled())) {
+  if (report_ && obs::MetricsEnabled()) {
     entry_ = MatrixPool::Instance().stats();
   }
 }
 
 TapeScope::~TapeScope() {
   t_tape_scope_active = prev_;
-  if (!report_) return;
-  const bool profile = ProfileAllocEnabled();
-  const bool metrics = obs::MetricsEnabled();
-  if (!profile && !metrics) return;
+  if (!report_ || !obs::MetricsEnabled()) return;
   const PoolStats now = MatrixPool::Instance().stats();
-  if (metrics) {
-    PoolMetrics& pm = GetPoolMetrics();
-    pm.heap_allocs.Add(now.heap_allocs - entry_.heap_allocs);
-    pm.heap_bytes.Add(now.heap_bytes - entry_.heap_bytes);
-    pm.pool_hits.Add(now.pool_hits - entry_.pool_hits);
-    pm.acquires.Add(now.acquires - entry_.acquires);
-  }
-  if (profile) {
-    std::fprintf(stderr,
-                 "[gradgcl alloc] step: %llu heap allocs (%llu bytes), "
-                 "%llu pool hits\n",
-                 static_cast<unsigned long long>(now.heap_allocs -
-                                                 entry_.heap_allocs),
-                 static_cast<unsigned long long>(now.heap_bytes -
-                                                 entry_.heap_bytes),
-                 static_cast<unsigned long long>(now.pool_hits -
-                                                 entry_.pool_hits));
-  }
+  PoolMetrics& pm = GetPoolMetrics();
+  pm.heap_allocs.Add(now.heap_allocs - entry_.heap_allocs);
+  pm.heap_bytes.Add(now.heap_bytes - entry_.heap_bytes);
+  pm.pool_hits.Add(now.pool_hits - entry_.pool_hits);
+  pm.acquires.Add(now.acquires - entry_.acquires);
 }
 
 bool TapeScope::Active() { return t_tape_scope_active; }

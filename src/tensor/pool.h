@@ -27,10 +27,9 @@
 //
 // Instrumentation: the pool keeps process-wide counters of every
 // matrix-buffer heap allocation (pooled misses and unpooled allocs
-// alike), bytes, and pool hits. Setting GRADGCL_PROFILE_ALLOC=1 in the
-// environment makes every TapeScope print its per-step allocation
-// delta to stderr; benches read the counters directly
-// (bench_table8_efficiency writes BENCH_alloc.json from them).
+// alike), bytes, and pool hits. With metrics on (obs/metrics.h) every
+// reporting TapeScope adds its step's deltas to the registry's pool/*
+// counters; perfbench exports them as its tensor.* trace metrics.
 
 #ifndef GRADGCL_TENSOR_POOL_H_
 #define GRADGCL_TENSOR_POOL_H_
@@ -98,21 +97,13 @@ class MatrixPool {
 bool PoolingEnabled();
 void SetPoolingEnabled(bool enabled);
 
-// Switch for the fused GradGCL loss kernels (CosineGram,
-// MaskedExpRowSum, ScaleRowsMatMul, ...; default on, GRADGCL_FUSED=0
-// falls back to the unfused op compositions). Both paths are
-// bit-identical — the switch exists for A/B benchmarking and the
-// equivalence tests.
-bool FusedKernelsEnabled();
-void SetFusedKernelsEnabled(bool enabled);
-
 // RAII marker the trainer opens around each optimization step: while
 // a TapeScope is active on the current thread (and PoolingEnabled()),
 // Matrix buffers allocated on this thread come from the pool. Scopes
-// nest; the outermost one reports the step's allocation delta when
-// GRADGCL_PROFILE_ALLOC=1 or metrics are on. The counters are
-// process-wide, so a scope opened on a helper thread for part of a
-// step (an ag::ForkJoin2 branch) passes report = false.
+// nest; the outermost one adds the step's allocation delta to the
+// pool/* metrics when metrics are on. The counters are process-wide,
+// so a scope opened on a helper thread for part of a step (an
+// ag::ForkJoin2 branch) passes report = false.
 class TapeScope {
  public:
   explicit TapeScope(bool report = true);
@@ -127,7 +118,7 @@ class TapeScope {
  private:
   bool prev_;
   bool report_;      // outermost on this thread, and asked to report
-  PoolStats entry_;  // snapshot for the GRADGCL_PROFILE_ALLOC report
+  PoolStats entry_;  // counters at entry, for the pool/* metric deltas
 };
 
 }  // namespace gradgcl

@@ -1,8 +1,9 @@
 // Tests for the pooled tape substrate (tensor/pool.h) and the fused
 // GradGCL loss kernels: bucket/recycling behaviour, TapeScope
 // lifecycle, the steady-state zero-allocation guarantee, and *exact*
-// (bitwise, not tolerance) equivalence of the fused kernels and the
-// pooled allocator against the reference paths, across thread counts.
+// (bitwise, not tolerance) equivalence of the fused losses and the
+// pooled allocator against the op-by-op compositions of
+// reference_losses.h, across thread counts.
 
 #include <cstring>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "datasets/tu_synthetic.h"
 #include "losses/contrastive.h"
 #include "models/graphcl.h"
+#include "reference_losses.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -55,24 +57,21 @@ namespace {
   return ::testing::AssertionSuccess();
 }
 
-// Restores the pool/fusion switches and the thread count, so each test
-// can toggle them freely.
+// Restores the pool switch and the thread count, so each test can
+// toggle them freely.
 class PoolEnvironmentTest : public ::testing::Test {
  protected:
   void SetUp() override {
     pooling_ = PoolingEnabled();
-    fused_ = FusedKernelsEnabled();
     threads_ = NumThreads();
   }
   void TearDown() override {
     SetPoolingEnabled(pooling_);
-    SetFusedKernelsEnabled(fused_);
     SetNumThreads(threads_);
   }
 
  private:
   bool pooling_ = true;
-  bool fused_ = true;
   int threads_ = 1;
 };
 
@@ -263,7 +262,6 @@ struct StepWorkload {
 
 TEST_F(AllocationRegressionTest, SteadyStateStepIsAllocationFree) {
   SetPoolingEnabled(true);
-  SetFusedKernelsEnabled(true);
   MatrixPool& pool = MatrixPool::Instance();
 
   StepWorkload workload;
@@ -294,7 +292,6 @@ TEST_F(AllocationRegressionTest, SteadyStateStepIsAllocationFree) {
 // batch Rng is reseeded every step, so the augmented shapes repeat.
 TEST_F(AllocationRegressionTest, GraphClForkStepIsAllocationFree) {
   SetPoolingEnabled(true);
-  SetFusedKernelsEnabled(true);
   SetNumThreads(4);
   MatrixPool& pool = MatrixPool::Instance();
 
@@ -334,7 +331,6 @@ TEST_F(AllocationRegressionTest, GraphClForkStepIsAllocationFree) {
 }
 
 TEST_F(PooledTrainingTest, PoolingDoesNotChangeTrainingBits) {
-  SetFusedKernelsEnabled(true);
   // Identical runs with the pool on and off: loss trajectory and final
   // weights must match bit for bit (recycled buffers are handed out
   // uninitialized, so any read-before-write would show up here).
@@ -360,9 +356,9 @@ TEST_F(PooledTrainingTest, PoolingDoesNotChangeTrainingBits) {
   MatrixPool::Instance().Trim();
 }
 
-// Value + input gradients of a Variable-valued functional, evaluated
-// under a given fused/unfused setting. The probe weights make the
-// upstream gradient non-constant so backward closures are exercised
+// Value + input gradients of a Variable-valued functional (a production
+// loss or its reference_losses.h composition). The probe weights make
+// the upstream gradient non-constant so backward closures are exercised
 // beyond an all-ones seed.
 struct EvalResult {
   Matrix value;
@@ -371,9 +367,8 @@ struct EvalResult {
 };
 
 template <typename Fn>
-EvalResult EvalWithGrads(bool fused, const Matrix& mu, const Matrix& mv,
+EvalResult EvalWithGrads(const Matrix& mu, const Matrix& mv,
                          const Matrix& probe, Fn&& fn) {
-  SetFusedKernelsEnabled(fused);
   Variable u(mu, true);
   Variable v(mv, true);
   Variable out = fn(u, v);
@@ -393,16 +388,18 @@ TEST_F(FusedEquivalenceTest, InfoNceGradientFeaturesMatchUnfusedExactly) {
   auto features = [&](const Variable& u, const Variable& v) {
     return InfoNceGradientFeatures(u, v, tau);
   };
+  auto op_by_op = [&](const Variable& u, const Variable& v) {
+    return reference::InfoNceGradientFeatures(u, v, tau);
+  };
 
-  const EvalResult ref =
-      EvalWithGrads(false, mu, mv, probe, features);  // unfused, 1 thread
+  const EvalResult ref = EvalWithGrads(mu, mv, probe, op_by_op);
   for (int threads : {1, 2, 4}) {
     SetNumThreads(threads);
-    const EvalResult fused = EvalWithGrads(true, mu, mv, probe, features);
+    const EvalResult fused = EvalWithGrads(mu, mv, probe, features);
     EXPECT_TRUE(BitIdentical(fused.value, ref.value)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.du, ref.du)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.dv, ref.dv)) << threads << " threads";
-    const EvalResult unfused = EvalWithGrads(false, mu, mv, probe, features);
+    const EvalResult unfused = EvalWithGrads(mu, mv, probe, op_by_op);
     EXPECT_TRUE(BitIdentical(unfused.value, ref.value))
         << threads << " threads";
     EXPECT_TRUE(BitIdentical(unfused.du, ref.du)) << threads << " threads";
@@ -417,11 +414,14 @@ TEST_F(FusedEquivalenceTest, JsdGradientFeaturesMatchUnfusedExactly) {
   auto features = [&](const Variable& u, const Variable& v) {
     return JsdGradientFeatures(u, v);
   };
+  auto op_by_op = [&](const Variable& u, const Variable& v) {
+    return reference::JsdGradientFeatures(u, v);
+  };
 
-  const EvalResult ref = EvalWithGrads(false, mu, mv, probe, features);
+  const EvalResult ref = EvalWithGrads(mu, mv, probe, op_by_op);
   for (int threads : {1, 2, 4}) {
     SetNumThreads(threads);
-    const EvalResult fused = EvalWithGrads(true, mu, mv, probe, features);
+    const EvalResult fused = EvalWithGrads(mu, mv, probe, features);
     EXPECT_TRUE(BitIdentical(fused.value, ref.value)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.du, ref.du)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.dv, ref.dv)) << threads << " threads";
@@ -436,11 +436,14 @@ TEST_F(FusedEquivalenceTest, InfoNceLossMatchesUnfusedExactly) {
   auto loss = [&](const Variable& u, const Variable& v) {
     return InfoNce(u, v, 0.5);
   };
+  auto op_by_op = [&](const Variable& u, const Variable& v) {
+    return reference::InfoNce(u, v, 0.5);
+  };
 
-  const EvalResult ref = EvalWithGrads(false, mu, mv, probe, loss);
+  const EvalResult ref = EvalWithGrads(mu, mv, probe, op_by_op);
   for (int threads : {1, 2, 4}) {
     SetNumThreads(threads);
-    const EvalResult fused = EvalWithGrads(true, mu, mv, probe, loss);
+    const EvalResult fused = EvalWithGrads(mu, mv, probe, loss);
     EXPECT_TRUE(BitIdentical(fused.value, ref.value)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.du, ref.du)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.dv, ref.dv)) << threads << " threads";
@@ -452,15 +455,19 @@ TEST_F(FusedEquivalenceTest, GradGclLossMatchesUnfusedExactly) {
   const Matrix mu = Matrix::RandomNormal(14, 10, rng);
   const Matrix mv = Matrix::RandomNormal(14, 10, rng);
   const Matrix probe;  // scalar loss
-  GradGclLoss loss_fn(GradGclConfig{});  // weight 0.5: both components live
+  const GradGclConfig config;  // weight 0.5: both components live
+  GradGclLoss loss_fn(config);
   auto loss = [&](const Variable& u, const Variable& v) {
     return loss_fn(TwoViewBatch{u, v});
   };
+  auto op_by_op = [&](const Variable& u, const Variable& v) {
+    return reference::GradGclLoss(config, TwoViewBatch{u, v});
+  };
 
-  const EvalResult ref = EvalWithGrads(false, mu, mv, probe, loss);
+  const EvalResult ref = EvalWithGrads(mu, mv, probe, op_by_op);
   for (int threads : {1, 2, 4}) {
     SetNumThreads(threads);
-    const EvalResult fused = EvalWithGrads(true, mu, mv, probe, loss);
+    const EvalResult fused = EvalWithGrads(mu, mv, probe, loss);
     EXPECT_TRUE(BitIdentical(fused.value, ref.value)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.du, ref.du)) << threads << " threads";
     EXPECT_TRUE(BitIdentical(fused.dv, ref.dv)) << threads << " threads";
@@ -487,7 +494,7 @@ TEST_F(FusedEquivalenceTest, EuclideanFeaturesBitIdenticalAcrossThreads) {
 // cost-hinted kernel, forward and the n x n backward passes alike,
 // splits into several chunks (400 rows exceed the 2^15 / 400 row grain
 // and 400^2 elements exceed kElementwiseGrain), and compare them to the
-// unfused composition run on one thread with heap buffers.
+// reference composition run on one thread with heap buffers.
 
 class FusedFanOutTest : public PoolEnvironmentTest {
  protected:
@@ -508,32 +515,33 @@ class FusedFanOutTest : public PoolEnvironmentTest {
 };
 
 template <typename Fn>
-EvalResult EvalInTape(bool fused, bool pooled, const Matrix& mu,
-                      const Matrix& mv, Fn&& fn) {
+EvalResult EvalInTape(bool pooled, const Matrix& mu, const Matrix& mv,
+                      Fn&& fn) {
   SetPoolingEnabled(pooled);
   TapeScope tape;
-  return EvalWithGrads(fused, mu, mv, Matrix(), fn);
+  return EvalWithGrads(mu, mv, Matrix(), fn);
 }
 
 // Value, du and dv of the fused loss at 1, 2 and 4 threads, pooled and
-// unpooled, memcmp-equal to the unfused one-thread reference, under
+// unpooled, memcmp-equal to its one-thread reference composition, under
 // each SIMD table.
-template <typename Fn>
-void ExpectFanOutMatchesUnfused(int n, int d, uint64_t seed, Fn&& loss) {
+template <typename Fn, typename RefFn>
+void ExpectFanOutMatchesUnfused(int n, int d, uint64_t seed, Fn&& loss,
+                                RefFn&& op_by_op) {
   Rng rng(seed);
   const Matrix mu = Matrix::RandomNormal(n, d, rng);
   const Matrix mv = Matrix::RandomNormal(n, d, rng);
   for (bool simd_on : {false, true}) {
     simd::SetEnabled(simd_on);
     SetNumThreads(1);
-    const EvalResult ref = EvalInTape(false, false, mu, mv, loss);
+    const EvalResult ref = EvalInTape(false, mu, mv, op_by_op);
     for (int threads : {1, 2, 4}) {
       SetNumThreads(threads);
       for (bool pooled : {false, true}) {
         SCOPED_TRACE(::testing::Message()
                      << (simd_on ? "simd" : "scalar") << ", " << threads
                      << " threads, " << (pooled ? "pooled" : "unpooled"));
-        const EvalResult got = EvalInTape(true, pooled, mu, mv, loss);
+        const EvalResult got = EvalInTape(pooled, mu, mv, loss);
         EXPECT_TRUE(BitIdentical(got.value, ref.value));
         EXPECT_TRUE(BitIdentical(got.du, ref.du));
         EXPECT_TRUE(BitIdentical(got.dv, ref.dv));
@@ -542,32 +550,40 @@ void ExpectFanOutMatchesUnfused(int n, int d, uint64_t seed, Fn&& loss) {
   }
 }
 
+// Production GradGclLoss and its reference composition for `config`.
+void ExpectGradGclFanOutMatchesUnfused(const GradGclConfig& config,
+                                       uint64_t seed) {
+  GradGclLoss loss_fn(config);
+  ExpectFanOutMatchesUnfused(
+      400, 12, seed,
+      [&](const Variable& u, const Variable& v) {
+        return loss_fn(TwoViewBatch{u, v});
+      },
+      [&](const Variable& u, const Variable& v) {
+        return reference::GradGclLoss(config, TwoViewBatch{u, v});
+      });
+}
+
 TEST_F(FusedFanOutTest, GradGclLossInfoNceMatchesUnfusedExactly) {
   internal::SetMinParallelCost(0);
-  GradGclLoss loss_fn(GradGclConfig{});  // InfoNCE, a = 0.5
-  ExpectFanOutMatchesUnfused(400, 12, 29, [&](const Variable& u,
-                                              const Variable& v) {
-    return loss_fn(TwoViewBatch{u, v});
-  });
+  ExpectGradGclFanOutMatchesUnfused(GradGclConfig{}, 29);  // InfoNCE, a = 0.5
 }
 
 TEST_F(FusedFanOutTest, GradGclLossJsdMatchesUnfusedExactly) {
   internal::SetMinParallelCost(0);
   GradGclConfig config;
   config.loss = LossKind::kJsd;
-  GradGclLoss loss_fn(config);
-  ExpectFanOutMatchesUnfused(400, 12, 31, [&](const Variable& u,
-                                              const Variable& v) {
-    return loss_fn(TwoViewBatch{u, v});
-  });
+  ExpectGradGclFanOutMatchesUnfused(config, 31);
 }
 
 TEST_F(FusedFanOutTest, InfoNceMatchesUnfusedExactly) {
   internal::SetMinParallelCost(0);
-  ExpectFanOutMatchesUnfused(400, 12, 37, [](const Variable& u,
-                                             const Variable& v) {
-    return InfoNce(u, v, 0.5);
-  });
+  ExpectFanOutMatchesUnfused(
+      400, 12, 37,
+      [](const Variable& u, const Variable& v) { return InfoNce(u, v, 0.5); },
+      [](const Variable& u, const Variable& v) {
+        return reference::InfoNce(u, v, 0.5);
+      });
 }
 
 TEST_F(FusedFanOutTest, DefaultThresholdFansOutNodeScalePasses) {
@@ -584,18 +600,22 @@ TEST_F(FusedFanOutTest, DefaultThresholdFansOutNodeScalePasses) {
                                            batch_pass * kMemoryBoundCost));
 
   // The train_node shape end to end: GradGCL a = 0.5 at n = 1000, d = 32
-  // on 4 threads against the unfused loss on one.
+  // on 4 threads against the reference composition on one.
   Rng rng(41);
   const Matrix mu = Matrix::RandomNormal(1000, 32, rng);
   const Matrix mv = Matrix::RandomNormal(1000, 32, rng);
-  GradGclLoss loss_fn(GradGclConfig{});
+  const GradGclConfig config;
+  GradGclLoss loss_fn(config);
   auto loss = [&](const Variable& u, const Variable& v) {
     return loss_fn(TwoViewBatch{u, v});
   };
+  auto op_by_op = [&](const Variable& u, const Variable& v) {
+    return reference::GradGclLoss(config, TwoViewBatch{u, v});
+  };
   SetNumThreads(1);
-  const EvalResult ref = EvalInTape(false, false, mu, mv, loss);
+  const EvalResult ref = EvalInTape(false, mu, mv, op_by_op);
   SetNumThreads(4);
-  const EvalResult got = EvalInTape(true, true, mu, mv, loss);
+  const EvalResult got = EvalInTape(true, mu, mv, loss);
   EXPECT_TRUE(BitIdentical(got.value, ref.value));
   EXPECT_TRUE(BitIdentical(got.du, ref.du));
   EXPECT_TRUE(BitIdentical(got.dv, ref.dv));
