@@ -18,8 +18,7 @@
 // Knobs: GRADGCL_DATA_DIR places the shard directory (default ./data;
 // an existing matching dataset is reused, so the ~1M-graph write cost
 // is paid once); GRADGCL_BENCH_DATA_GRAPHS overrides the graph count
-// (smoke runs); GRADGCL_PREFETCH_DEPTH is exercised as-documented.
-// Writes BENCH_data.json.
+// (smoke runs). Writes BENCH_data.json.
 
 #include <sys/resource.h>
 

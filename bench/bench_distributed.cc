@@ -14,8 +14,7 @@
 // trajectory is worthless (same policy as bench_serve / bench_data).
 //
 // Knobs: GRADGCL_BENCH_DIST_GRAPHS (default 256) and
-// GRADGCL_BENCH_DIST_EPOCHS (default 24) size the workload;
-// GRADGCL_DIST_BUCKET_BYTES is honored as documented. Writes
+// GRADGCL_BENCH_DIST_EPOCHS (default 24) size the workload. Writes
 // BENCH_distributed.json.
 
 #include <cstdint>
@@ -64,7 +63,6 @@ DistOptions BenchOptions(int epochs) {
   opt.train.lr = 0.01;
   opt.train.seed = 5;
   opt.micro_batches_per_step = 4;
-  opt.bucket_bytes = dist::ResolveDistBucketBytes();
   return opt;
 }
 
@@ -219,7 +217,7 @@ int main() {
                std::thread::hardware_concurrency(),
                static_cast<long long>(num_graphs), epochs,
                static_cast<long long>(baseline.size()), kGradGclWeight,
-               static_cast<long long>(dist::ResolveDistBucketBytes()));
+               static_cast<long long>(BenchOptions(epochs).bucket_bytes));
   std::fprintf(json, "  \"legs\": [\n");
   for (size_t i = 0; i < legs.size(); ++i) {
     std::fprintf(json,

@@ -1,26 +1,12 @@
 #include "data/prefetch_reader.h"
 
-#include <cstdlib>
-
 namespace gradgcl::data {
-
-namespace {
-
-int DefaultDepth() {
-  if (const char* env = std::getenv("GRADGCL_PREFETCH_DEPTH")) {
-    const int v = std::atoi(env);
-    if (v >= 1) return v;
-  }
-  return 2;  // double buffering
-}
-
-}  // namespace
 
 PrefetchReader::PrefetchReader(const ShardedDataset& dataset,
                                PrefetchOptions options)
     : dataset_(dataset),
       num_threads_(options.num_threads >= 1 ? options.num_threads : 1),
-      depth_(options.depth >= 1 ? options.depth : DefaultDepth()) {
+      depth_(options.depth >= 1 ? options.depth : 1) {
   slots_.resize(static_cast<size_t>(depth_));
   workers_.reserve(static_cast<size_t>(num_threads_));
   for (int t = 0; t < num_threads_; ++t) {

@@ -36,9 +36,9 @@ namespace gradgcl::data {
 struct PrefetchOptions {
   // Background reader threads decoding graphs. >= 1.
   int num_threads = 1;
-  // In-flight batch buffers; 0 = GRADGCL_PREFETCH_DEPTH (default 2,
-  // i.e. classic double buffering: one consumed, one filling).
-  int depth = 0;
+  // In-flight batch buffers. >= 1; the default 2 is classic double
+  // buffering: one consumed, one filling.
+  int depth = 2;
 };
 
 class PrefetchReader final : public GraphBatchSource {

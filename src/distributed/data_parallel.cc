@@ -1,7 +1,6 @@
 #include "distributed/data_parallel.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -19,68 +18,6 @@ namespace dist {
 namespace {
 
 bool IsPow2(int64_t x) { return x > 0 && (x & (x - 1)) == 0; }
-
-// Where a rank's micro-batches come from. `owned` lists the epoch-plan
-// batch indices this rank will evaluate, in consumption order; Loss is
-// then called exactly once per owned index, in that order.
-class MicroBatchRunner {
- public:
-  virtual ~MicroBatchRunner() = default;
-  virtual void BeginEpoch(const std::vector<std::vector<int>>& plan,
-                          const std::vector<int64_t>& owned) = 0;
-  virtual Variable Loss(GraphSslModel& model, int64_t batch_index,
-                        Rng& rng) = 0;
-};
-
-class InRamRunner : public MicroBatchRunner {
- public:
-  explicit InRamRunner(const std::vector<Graph>& dataset)
-      : dataset_(dataset) {}
-
-  void BeginEpoch(const std::vector<std::vector<int>>& plan,
-                  const std::vector<int64_t>& /*owned*/) override {
-    plan_ = &plan;
-  }
-
-  Variable Loss(GraphSslModel& model, int64_t batch_index,
-                Rng& rng) override {
-    return model.BatchLoss(dataset_, (*plan_)[static_cast<size_t>(batch_index)],
-                           rng);
-  }
-
- private:
-  const std::vector<Graph>& dataset_;
-  const std::vector<std::vector<int>>* plan_ = nullptr;
-};
-
-class StreamedRunner : public MicroBatchRunner {
- public:
-  explicit StreamedRunner(GraphBatchSource& source) : source_(source) {}
-
-  void BeginEpoch(const std::vector<std::vector<int>>& plan,
-                  const std::vector<int64_t>& owned) override {
-    // The source only ever sees this rank's slots, in consumption
-    // order — the sub-plan of the global epoch plan.
-    std::vector<std::vector<int>> sub;
-    sub.reserve(owned.size());
-    for (int64_t b : owned) sub.push_back(plan[static_cast<size_t>(b)]);
-    source_.BeginEpoch(sub);
-  }
-
-  Variable Loss(GraphSslModel& model, int64_t /*batch_index*/,
-                Rng& rng) override {
-    GRADGCL_CHECK_MSG(source_.NextBatch(&gathered_),
-                      "streaming batch source failed (corrupt shard?)");
-    iota_.resize(gathered_.size());
-    for (size_t k = 0; k < iota_.size(); ++k) iota_[k] = static_cast<int>(k);
-    return model.BatchLoss(gathered_, iota_, rng);
-  }
-
- private:
-  GraphBatchSource& source_;
-  std::vector<Graph> gathered_;
-  std::vector<int> iota_;
-};
 
 int64_t FlatParamSize(const std::vector<Variable>& params) {
   int64_t total = 0;
@@ -123,14 +60,12 @@ TrainCheckpoint MakeCheckpoint(int64_t global_step, int64_t epoch,
   return ckpt;
 }
 
-DistResult RunCore(GraphSslModel& model, MicroBatchRunner& runner, int64_t n,
-                   DistOptions opt, CommBackend* comm) {
+DistResult RunCore(GraphSslModel& model, BatchFeed& feed,
+                   const DistOptions& opt, CommBackend* comm) {
   const int W = comm != nullptr ? comm->world_size() : 1;
   const int rank = comm != nullptr ? comm->rank() : 0;
-  if (opt.world_size > 0) {
-    GRADGCL_CHECK_MSG(opt.world_size == W,
-                      "options.world_size must match the comm ring");
-  }
+  GRADGCL_CHECK_MSG(opt.world_size == W,
+                    "options.world_size must match the comm ring");
   const int A = opt.micro_batches_per_step;
   GRADGCL_CHECK_MSG(IsPow2(W), "world size must be a power of two");
   GRADGCL_CHECK_MSG(IsPow2(A),
@@ -141,8 +76,8 @@ DistResult RunCore(GraphSslModel& model, MicroBatchRunner& runner, int64_t n,
   // Every core already holds a rank: kernels and the view fork run
   // inline instead of queueing on the one pool behind the other ranks.
   InlineRegionScope rank_owns_core(W > 1);
-  if (opt.bucket_bytes <= 0) opt.bucket_bytes = ResolveDistBucketBytes();
   if (comm != nullptr) comm->set_timeout_millis(opt.timeout_millis);
+  const int64_t n = feed.num_graphs();
   GRADGCL_CHECK(n >= 2);
 
   const TrainOptions& t = opt.train;
@@ -225,7 +160,7 @@ DistResult RunCore(GraphSslModel& model, MicroBatchRunner& runner, int64_t n,
         if (b < num_batches) owned.push_back(b);
       }
     }
-    runner.BeginEpoch(plan, owned);
+    feed.BeginEpoch(plan, owned);
 
     Stopwatch epoch_watch;
     double epoch_loss = 0.0;
@@ -248,7 +183,7 @@ DistResult RunCore(GraphSslModel& model, MicroBatchRunner& runner, int64_t n,
         Rng batch_rng(BatchStreamSeed(t.seed, epoch, b));
         TapeScope tape;  // step-scoped pooling, as in TrainGraphSsl
         optimizer.ZeroGrad();
-        Variable loss = runner.Loss(model, b, batch_rng);
+        Variable loss = feed.Loss(model, b, batch_rng);
         Backward(loss);
         double* out = slot_grads[j].data();
         for (const Variable& p : params) {
@@ -338,42 +273,15 @@ DataParallelTrainer::DataParallelTrainer(const DistOptions& options)
 DistResult DataParallelTrainer::Run(GraphSslModel& model,
                                     const std::vector<Graph>& dataset,
                                     CommBackend* comm) {
-  InRamRunner runner(dataset);
-  return RunCore(model, runner, static_cast<int64_t>(dataset.size()),
-                 options_, comm);
+  InRamFeed feed(dataset);
+  return RunCore(model, feed, options_, comm);
 }
 
 DistResult DataParallelTrainer::RunStreamed(GraphSslModel& model,
                                             GraphBatchSource& source,
                                             CommBackend* comm) {
-  StreamedRunner runner(source);
-  return RunCore(model, runner, source.num_graphs(), options_, comm);
-}
-
-int ResolveDistRanks() {
-  const char* env = std::getenv("GRADGCL_DIST_RANKS");
-  if (env == nullptr) return 1;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 1 || v > 64 || !IsPow2(v)) return 1;
-  return static_cast<int>(v);
-}
-
-DistBackend ResolveDistBackend() {
-  const char* env = std::getenv("GRADGCL_DIST_BACKEND");
-  if (env != nullptr && std::strcmp(env, "socket") == 0) {
-    return DistBackend::kSocket;
-  }
-  return DistBackend::kThread;
-}
-
-int64_t ResolveDistBucketBytes() {
-  const char* env = std::getenv("GRADGCL_DIST_BUCKET_BYTES");
-  if (env == nullptr) return 1 << 20;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  if (end == env || *end != '\0' || v < 8) return 1 << 20;
-  return static_cast<int64_t>(v);
+  StreamedFeed feed(source);
+  return RunCore(model, feed, options_, comm);
 }
 
 namespace {
@@ -391,6 +299,26 @@ std::vector<std::unique_ptr<CommBackend>> CreateRing(DistBackend backend,
   return CreateThreadRing(world);
 }
 
+// Runs options.world_size rank threads over a fresh ring of `backend`
+// endpoints; `run_rank(rank, comm)` trains one rank inside its thread.
+std::vector<DistResult> RunRanks(
+    const DistOptions& options, DistBackend backend,
+    const std::function<DistResult(int rank, CommBackend* comm)>& run_rank) {
+  const int W = options.world_size;
+  auto ring = CreateRing(backend, W);
+  std::vector<DistResult> results(static_cast<size_t>(W));
+  std::vector<std::thread> ranks;
+  ranks.reserve(W);
+  for (int r = 0; r < W; ++r) {
+    ranks.emplace_back([&, r] {
+      results[static_cast<size_t>(r)] =
+          run_rank(r, ring[static_cast<size_t>(r)].get());
+    });
+  }
+  for (std::thread& th : ranks) th.join();
+  return results;
+}
+
 }  // namespace
 
 std::vector<DistResult> RunDataParallelRanks(
@@ -398,23 +326,10 @@ std::vector<DistResult> RunDataParallelRanks(
     const std::function<std::unique_ptr<GraphSslModel>(int rank)>&
         model_factory,
     const std::vector<Graph>& dataset) {
-  DistOptions opt = options;
-  const int W = opt.world_size > 0 ? opt.world_size : ResolveDistRanks();
-  opt.world_size = W;
-  auto ring = CreateRing(backend, W);
-  std::vector<DistResult> results(static_cast<size_t>(W));
-  std::vector<std::thread> ranks;
-  ranks.reserve(W);
-  for (int r = 0; r < W; ++r) {
-    ranks.emplace_back([&, r] {
-      std::unique_ptr<GraphSslModel> model = model_factory(r);
-      DataParallelTrainer trainer(opt);
-      results[static_cast<size_t>(r)] =
-          trainer.Run(*model, dataset, ring[static_cast<size_t>(r)].get());
-    });
-  }
-  for (std::thread& th : ranks) th.join();
-  return results;
+  return RunRanks(options, backend, [&](int rank, CommBackend* comm) {
+    std::unique_ptr<GraphSslModel> model = model_factory(rank);
+    return DataParallelTrainer(options).Run(*model, dataset, comm);
+  });
 }
 
 std::vector<DistResult> RunDataParallelRanksStreamed(
@@ -423,24 +338,11 @@ std::vector<DistResult> RunDataParallelRanksStreamed(
         model_factory,
     const std::function<std::unique_ptr<GraphBatchSource>(int rank)>&
         source_factory) {
-  DistOptions opt = options;
-  const int W = opt.world_size > 0 ? opt.world_size : ResolveDistRanks();
-  opt.world_size = W;
-  auto ring = CreateRing(backend, W);
-  std::vector<DistResult> results(static_cast<size_t>(W));
-  std::vector<std::thread> ranks;
-  ranks.reserve(W);
-  for (int r = 0; r < W; ++r) {
-    ranks.emplace_back([&, r] {
-      std::unique_ptr<GraphSslModel> model = model_factory(r);
-      std::unique_ptr<GraphBatchSource> source = source_factory(r);
-      DataParallelTrainer trainer(opt);
-      results[static_cast<size_t>(r)] = trainer.RunStreamed(
-          *model, *source, ring[static_cast<size_t>(r)].get());
-    });
-  }
-  for (std::thread& th : ranks) th.join();
-  return results;
+  return RunRanks(options, backend, [&](int rank, CommBackend* comm) {
+    std::unique_ptr<GraphSslModel> model = model_factory(rank);
+    std::unique_ptr<GraphBatchSource> source = source_factory(rank);
+    return DataParallelTrainer(options).RunStreamed(*model, *source, comm);
+  });
 }
 
 }  // namespace dist

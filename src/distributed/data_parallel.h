@@ -37,11 +37,6 @@
 // Models whose PostStep consumes rank-local batch statistics (JOAO's
 // augmentation-distribution update) would diverge across ranks and are
 // not supported by this trainer.
-//
-// Env knobs (read when the corresponding option is 0 / empty):
-//   GRADGCL_DIST_RANKS        world size for RunDataParallelRanks
-//   GRADGCL_DIST_BACKEND      "thread" (default) | "socket"
-//   GRADGCL_DIST_BUCKET_BYTES all-reduce bucket size (default 1 MiB)
 
 #ifndef GRADGCL_DISTRIBUTED_DATA_PARALLEL_H_
 #define GRADGCL_DISTRIBUTED_DATA_PARALLEL_H_
@@ -60,13 +55,14 @@ namespace dist {
 
 struct DistOptions {
   TrainOptions train;
-  // 0 resolves GRADGCL_DIST_RANKS (default 1). Must be a power of two.
-  int world_size = 0;
+  // Ranks in the ring; must equal the comm's world size (1 without a
+  // comm). Must be a power of two.
+  int world_size = 1;
   // Micro-batches per optimizer step (A). Power of two, divisible by
   // the world size. A = 1, W = 1 reproduces TrainGraphSsl exactly.
   int micro_batches_per_step = 4;
-  // 0 resolves GRADGCL_DIST_BUCKET_BYTES (default 1 MiB).
-  int64_t bucket_bytes = 0;
+  // All-reduce bucket size; changes message sizes, never bits.
+  int64_t bucket_bytes = int64_t{1} << 20;
   // Deadline for every blocking comm operation.
   int64_t timeout_millis = 30000;
   // Empty disables checkpointing. Rank 0 writes; on resume all ranks
@@ -101,8 +97,9 @@ class DataParallelTrainer {
   DistResult Run(GraphSslModel& model, const std::vector<Graph>& dataset,
                  CommBackend* comm = nullptr);
 
-  // Streaming twin over a GraphBatchSource (the rank consumes only its
-  // own slots' batches; bit-identical to Run on an equivalent source).
+  // Run with the graphs arriving through `source` (the rank consumes
+  // only its own slots' batches; bit-identical to Run on an equivalent
+  // source).
   DistResult RunStreamed(GraphSslModel& model, GraphBatchSource& source,
                          CommBackend* comm = nullptr);
 
@@ -112,20 +109,12 @@ class DataParallelTrainer {
   DistOptions options_;
 };
 
-// --- Env knob resolution --------------------------------------------------
-
-enum class DistBackend { kThread, kSocket };
-
-// GRADGCL_DIST_RANKS: power of two in [1, 64]; anything else => 1.
-int ResolveDistRanks();
-// GRADGCL_DIST_BACKEND: "socket" => kSocket; anything else => kThread.
-DistBackend ResolveDistBackend();
-// GRADGCL_DIST_BUCKET_BYTES: >= 8; anything else => 1 MiB.
-int64_t ResolveDistBucketBytes();
-
 // --- Multi-rank harness ---------------------------------------------------
 
-// Runs world_size rank threads over a fresh ring of `backend`
+// Comm transport: shared-memory mailboxes or Unix-domain sockets.
+enum class DistBackend { kThread, kSocket };
+
+// Runs options.world_size rank threads over a fresh ring of `backend`
 // endpoints; `model_factory(rank)` builds each rank's replica inside
 // its own thread (per-rank arenas). Returns one result per rank — on
 // success all ranks report bit-identical losses and hold bit-identical

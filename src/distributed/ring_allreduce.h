@@ -28,7 +28,7 @@
 // Per-rank traffic is (W-1)/W of the data per phase — identical to the
 // classic ring — and all staging lives in rank-private buffers. The
 // vector is processed in buckets of `bucket_bytes` so staging stays
-// bounded for arbitrarily large gradients (GRADGCL_DIST_BUCKET_BYTES).
+// bounded for arbitrarily large gradients (DistOptions::bucket_bytes).
 
 #ifndef GRADGCL_DISTRIBUTED_RING_ALLREDUCE_H_
 #define GRADGCL_DISTRIBUTED_RING_ALLREDUCE_H_

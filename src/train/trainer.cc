@@ -1,6 +1,7 @@
 #include "train/trainer.h"
 
 #include <cmath>
+#include <numeric>
 
 #include "common/stopwatch.h"
 #include "obs/collapse.h"
@@ -63,11 +64,31 @@ uint64_t BatchStreamSeed(uint64_t seed, int64_t epoch, int64_t batch) {
   return x;
 }
 
-std::vector<EpochStats> TrainGraphSsl(
-    GraphSslModel& model, const std::vector<Graph>& dataset,
-    const TrainOptions& options,
+void StreamedFeed::BeginEpoch(const std::vector<std::vector<int>>& plan,
+                              const std::vector<int64_t>& owned) {
+  std::vector<std::vector<int>> sub;
+  sub.reserve(owned.size());
+  for (int64_t b : owned) sub.push_back(plan[static_cast<size_t>(b)]);
+  source_.BeginEpoch(sub);
+}
+
+Variable StreamedFeed::Loss(GraphSslModel& model, int64_t /*batch*/,
+                            Rng& rng) {
+  GRADGCL_CHECK_MSG(source_.NextBatch(&gathered_),
+                    "streaming batch source failed (corrupt shard?)");
+  iota_.resize(gathered_.size());
+  for (size_t k = 0; k < iota_.size(); ++k) iota_[k] = static_cast<int>(k);
+  return model.BatchLoss(gathered_, iota_, rng);
+}
+
+namespace {
+
+// The graph-level training loop, whatever feeds it.
+std::vector<EpochStats> TrainGraphLoop(
+    GraphSslModel& model, BatchFeed& feed, const TrainOptions& options,
     const std::function<void(const EpochStats&)>& on_epoch) {
-  GRADGCL_CHECK(dataset.size() >= 2);
+  const int64_t n = feed.num_graphs();
+  GRADGCL_CHECK(n >= 2);
   Adam optimizer(model.parameters(), options.lr, 0.9, 0.999, 1e-8,
                  options.weight_decay);
   Rng rng(options.seed);
@@ -76,6 +97,7 @@ std::vector<EpochStats> TrainGraphSsl(
   std::vector<EpochStats> history;
   history.reserve(options.epochs);
   int64_t global_step = 0;
+  std::vector<int64_t> owned;  // every batch of the plan, in order
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     obs::TraceScope epoch_span("train/epoch");
     optimizer.set_lr(
@@ -84,7 +106,10 @@ std::vector<EpochStats> TrainGraphSsl(
     double epoch_loss = 0.0;
     int steps = 0;
     const std::vector<std::vector<int>> plan = MakeMiniBatches(
-        static_cast<int>(dataset.size()), options.batch_size, rng);
+        static_cast<int>(n), options.batch_size, rng);
+    owned.resize(plan.size());
+    std::iota(owned.begin(), owned.end(), int64_t{0});
+    feed.BeginEpoch(plan, owned);
     for (size_t b = 0; b < plan.size(); ++b) {
       obs::TraceScope step_span("train/step");
       Stopwatch step_watch;
@@ -100,7 +125,7 @@ std::vector<EpochStats> TrainGraphSsl(
       // and stay heap-backed (tensor/pool.h).
       TapeScope tape;
       optimizer.ZeroGrad();
-      Variable loss = model.BatchLoss(dataset, plan[b], batch_rng);
+      Variable loss = feed.Loss(model, static_cast<int64_t>(b), batch_rng);
       Backward(loss);
       const double loss_value = loss.scalar();
       const double grad_norm =
@@ -126,72 +151,22 @@ std::vector<EpochStats> TrainGraphSsl(
   return history;
 }
 
+}  // namespace
+
+std::vector<EpochStats> TrainGraphSsl(
+    GraphSslModel& model, const std::vector<Graph>& dataset,
+    const TrainOptions& options,
+    const std::function<void(const EpochStats&)>& on_epoch) {
+  InRamFeed feed(dataset);
+  return TrainGraphLoop(model, feed, options, on_epoch);
+}
+
 std::vector<EpochStats> TrainGraphSslStreamed(
     GraphSslModel& model, GraphBatchSource& source,
     const TrainOptions& options,
     const std::function<void(const EpochStats&)>& on_epoch) {
-  const int64_t n = source.num_graphs();
-  GRADGCL_CHECK(n >= 2);
-  Adam optimizer(model.parameters(), options.lr, 0.9, 0.999, 1e-8,
-                 options.weight_decay);
-  Rng rng(options.seed);
-
-  obs::CollapseMonitor& monitor = obs::CollapseMonitor::Instance();
-  std::vector<EpochStats> history;
-  history.reserve(options.epochs);
-  int64_t global_step = 0;
-  // Reused across steps: the gathered batch and its identity index
-  // list. BatchLoss(gathered, iota) is bit-equal to the in-RAM
-  // BatchLoss(dataset, batch) by the gather-invariance contract.
-  std::vector<Graph> gathered;
-  std::vector<int> iota;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    obs::TraceScope epoch_span("train/epoch");
-    optimizer.set_lr(
-        ScheduledLr(options.schedule, options.lr, epoch, options.epochs));
-    Stopwatch watch;
-    double epoch_loss = 0.0;
-    int steps = 0;
-    // Identical plan-Rng consumption to TrainGraphSsl: the plan is the
-    // same shuffled index stream the in-RAM loop would walk.
-    const std::vector<std::vector<int>> plan = MakeMiniBatches(
-        static_cast<int>(n), options.batch_size, rng);
-    source.BeginEpoch(plan);
-    for (size_t b = 0; b < plan.size(); ++b) {
-      obs::TraceScope step_span("train/step");
-      Stopwatch step_watch;
-      GRADGCL_CHECK_MSG(source.NextBatch(&gathered),
-                        "streaming batch source failed (corrupt shard?)");
-      iota.resize(gathered.size());
-      for (size_t k = 0; k < iota.size(); ++k) iota[k] = static_cast<int>(k);
-      monitor.BeginStep(obs::StepContext{global_step, epoch});
-      // Same per-batch stream derivation as TrainGraphSsl.
-      Rng batch_rng(BatchStreamSeed(options.seed, epoch,
-                                    static_cast<int64_t>(b)));
-      TapeScope tape;  // step-scoped pooling, as in TrainGraphSsl
-      optimizer.ZeroGrad();
-      Variable loss = model.BatchLoss(gathered, iota, batch_rng);
-      Backward(loss);
-      const double loss_value = loss.scalar();
-      const double grad_norm =
-          monitor.enabled() ? ParameterGradNorm(model.parameters()) : 0.0;
-      optimizer.Step();
-      model.PostStep();
-      if (monitor.enabled()) {
-        monitor.EndStep(loss_value, grad_norm, step_watch.ElapsedSeconds());
-      }
-      epoch_loss += loss_value;
-      ++steps;
-      ++global_step;
-    }
-    EpochStats stats;
-    stats.epoch = epoch;
-    stats.loss = steps > 0 ? epoch_loss / steps : 0.0;
-    stats.seconds = watch.ElapsedSeconds();
-    if (on_epoch) on_epoch(stats);
-    history.push_back(stats);
-  }
-  return history;
+  StreamedFeed feed(source);
+  return TrainGraphLoop(model, feed, options, on_epoch);
 }
 
 std::vector<EpochStats> TrainNodeSsl(

@@ -47,8 +47,8 @@ class GraphSslModel : public Module {
   // dataset[idx] for idx in `indices`, visiting them in `indices`
   // order (including rng consumption). Then BatchLoss(dataset, batch)
   // == BatchLoss(gathered, iota) bit-for-bit, which is what lets the
-  // streaming path (TrainGraphSslStreamed over a GraphBatchSource)
-  // train bit-identically to this in-RAM path.
+  // streaming feed (StreamedFeed over a GraphBatchSource) train
+  // bit-identically to the in-RAM feed.
   virtual Variable BatchLoss(const std::vector<Graph>& dataset,
                              const std::vector<int>& indices, Rng& rng) = 0;
 
@@ -105,9 +105,9 @@ class GraphBatchSource {
   virtual bool NextBatch(std::vector<Graph>* graphs) = 0;
 };
 
-// Streaming twin of TrainGraphSsl: same optimiser, same batch plan,
-// same per-batch Rng streams — only the graphs arrive through `source`
-// instead of a resident vector. With a gather-invariant model (see
+// TrainGraphSsl with the graphs arriving through `source` instead of
+// a resident vector: the same loop, optimiser, batch plan and per-batch
+// Rng streams. With a gather-invariant model (see
 // GraphSslModel::BatchLoss) and a source that reproduces the dataset's
 // graphs bit-for-bit, the loss trajectory is bit-identical to
 // TrainGraphSsl on the same seed, regardless of the source's reader
@@ -116,6 +116,63 @@ std::vector<EpochStats> TrainGraphSslStreamed(
     GraphSslModel& model, GraphBatchSource& source,
     const TrainOptions& options,
     const std::function<void(const EpochStats&)>& on_epoch = nullptr);
+
+// Where a graph-level trainer's batches come from: the one feed
+// description shared by the loop behind TrainGraphSsl /
+// TrainGraphSslStreamed and the data-parallel trainer
+// (src/distributed/). The trainer plans an epoch, installs it with
+// BeginEpoch together with `owned`, the plan indices it will evaluate
+// in consumption order, then calls Loss exactly once per owned index,
+// in that order.
+class BatchFeed {
+ public:
+  virtual ~BatchFeed() = default;
+  // Graphs the batch plans index into.
+  virtual int64_t num_graphs() const = 0;
+  virtual void BeginEpoch(const std::vector<std::vector<int>>& plan,
+                          const std::vector<int64_t>& owned) = 0;
+  // model.BatchLoss over the graphs of plan[batch].
+  virtual Variable Loss(GraphSslModel& model, int64_t batch, Rng& rng) = 0;
+};
+
+// Resident graphs: BatchLoss(dataset, plan[batch]), no copy.
+class InRamFeed final : public BatchFeed {
+ public:
+  explicit InRamFeed(const std::vector<Graph>& dataset) : dataset_(dataset) {}
+  int64_t num_graphs() const override {
+    return static_cast<int64_t>(dataset_.size());
+  }
+  void BeginEpoch(const std::vector<std::vector<int>>& plan,
+                  const std::vector<int64_t>& /*owned*/) override {
+    plan_ = &plan;
+  }
+  Variable Loss(GraphSslModel& model, int64_t batch, Rng& rng) override {
+    return model.BatchLoss(dataset_, (*plan_)[static_cast<size_t>(batch)],
+                           rng);
+  }
+
+ private:
+  const std::vector<Graph>& dataset_;
+  const std::vector<std::vector<int>>* plan_ = nullptr;
+};
+
+// Streamed graphs: the source sees only the owned sub-plan, and each
+// Loss is source.NextBatch followed by BatchLoss(gathered, iota) —
+// bit-equal to InRamFeed by the gather-invariance contract.
+class StreamedFeed final : public BatchFeed {
+ public:
+  explicit StreamedFeed(GraphBatchSource& source) : source_(source) {}
+  int64_t num_graphs() const override { return source_.num_graphs(); }
+  void BeginEpoch(const std::vector<std::vector<int>>& plan,
+                  const std::vector<int64_t>& owned) override;
+  Variable Loss(GraphSslModel& model, int64_t batch, Rng& rng) override;
+
+ private:
+  GraphBatchSource& source_;
+  // Reused across steps: the gathered batch and its identity indices.
+  std::vector<Graph> gathered_;
+  std::vector<int> iota_;
+};
 
 // Trains a node-level model with Adam, one full-graph step per epoch.
 std::vector<EpochStats> TrainNodeSsl(

@@ -799,6 +799,7 @@ TEST(PrefetchReaderTest, SupportsBackToBackEpochs) {
   const std::string dir = PrefetchDatasetDir("pf_epochs", &originals);
   ShardedDataset ds;
   ASSERT_TRUE(ds.Open(dir));
+  EXPECT_EQ(PrefetchReader(ds).depth(), 2);  // double buffering
   PrefetchReader reader(ds, PrefetchOptions{.num_threads = 2, .depth = 2});
 
   int64_t total_items = 0;
@@ -818,23 +819,6 @@ TEST(PrefetchReaderTest, SupportsBackToBackEpochs) {
     }
   }
   EXPECT_EQ(reader.graphs_read(), total_items);
-}
-
-TEST(PrefetchReaderTest, DepthDefaultsFromEnvironment) {
-  std::vector<Graph> originals;
-  const std::string dir = PrefetchDatasetDir("pf_env", &originals);
-  ShardedDataset ds;
-  ASSERT_TRUE(ds.Open(dir));
-  ::setenv("GRADGCL_PREFETCH_DEPTH", "3", 1);
-  {
-    PrefetchReader reader(ds);
-    EXPECT_EQ(reader.depth(), 3);
-  }
-  ::unsetenv("GRADGCL_PREFETCH_DEPTH");
-  {
-    PrefetchReader reader(ds);
-    EXPECT_EQ(reader.depth(), 2);  // double buffering
-  }
 }
 
 TEST(PrefetchReaderTest, CorruptShardSurfacesAsNextBatchFailure) {

@@ -12,9 +12,8 @@
 //      (losses memcmp, final checkpoint file memcmp) to the
 //      single-process run over >= 50 optimizer steps on both
 //      transports; A = 1, W = 1 reproduces TrainGraphSsl exactly; the
-//      streamed path reproduces the in-RAM path; GRADGCL_DIST_* env
-//      knobs resolve and reshape the world (the TSAN verify legs run
-//      this battery at ranks 2 and 4 on both backends).
+//      streamed path reproduces the in-RAM path; rank threads run
+//      parallel regions inline.
 //   4. Checkpoint/resume — "GGCK" round-trip preserves every field; a
 //      byte-patched corruption battery rejects with a clean false and
 //      ZERO heap allocations (the data_test idiom); resuming at step k
@@ -101,33 +100,6 @@ void Patch(std::vector<unsigned char>* bytes, size_t offset, T value) {
   ASSERT_LE(offset + sizeof(T), bytes->size());
   std::memcpy(bytes->data() + offset, &value, sizeof(T));
 }
-
-// Save/restore one environment variable around a test block.
-class EnvVarGuard {
- public:
-  EnvVarGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvVarGuard() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 const char* BackendName(DistBackend backend) {
   return backend == DistBackend::kSocket ? "socket" : "thread";
@@ -454,11 +426,12 @@ TEST(DataParallelTest, MultiRankBitIdenticalToSingleProcessOverFiftySteps) {
   struct Config {
     DistBackend backend;
     int world;
-    int64_t bucket_bytes;  // 0 = default; 512 forces multiple buckets
+    int64_t bucket_bytes;  // 512 forces multiple buckets
   };
-  const Config configs[] = {{DistBackend::kThread, 2, 0},
-                            {DistBackend::kThread, 4, 0},
-                            {DistBackend::kSocket, 2, 0},
+  const int64_t kDefault = DistOptions{}.bucket_bytes;
+  const Config configs[] = {{DistBackend::kThread, 2, kDefault},
+                            {DistBackend::kThread, 4, kDefault},
+                            {DistBackend::kSocket, 2, kDefault},
                             {DistBackend::kSocket, 4, 512}};
   for (const Config& config : configs) {
     SCOPED_TRACE(std::string(BackendName(config.backend)) + " x" +
@@ -537,34 +510,6 @@ TEST(DataParallelTest, StreamedRanksBitIdenticalToInRam) {
   EXPECT_EQ(SlurpBytes(streamed_opt.checkpoint_path), ram_bytes);
 }
 
-// The TSAN verify legs rerun this test with GRADGCL_DIST_RANKS in
-// {2, 4} x GRADGCL_DIST_BACKEND in {thread, socket}; at any
-// env-selected shape the trajectory must match the single-rank one.
-TEST(DataParallelTest, EnvConfiguredWorldBitIdenticalToSingleRank) {
-  const int world = ResolveDistRanks();
-  const DistBackend backend = ResolveDistBackend();
-  const std::vector<Graph> data = TestDataset();
-
-  DistOptions base = SmallOptions(/*epochs=*/6);  // 12 steps
-  base.world_size = 1;
-  base.bucket_bytes = ResolveDistBucketBytes();
-  auto base_model = MakeModel();
-  DataParallelTrainer base_trainer(base);
-  const DistResult ref = base_trainer.Run(*base_model, data, nullptr);
-  ASSERT_EQ(ref.status, CommStatus::kOk);
-
-  DistOptions opt = base;
-  opt.world_size = world;
-  const std::vector<DistResult> results =
-      RunDataParallelRanks(opt, backend, [](int) { return MakeModel(); }, data);
-  ASSERT_EQ(results.size(), static_cast<size_t>(world));
-  for (int r = 0; r < world; ++r) {
-    ASSERT_EQ(results[r].status, CommStatus::kOk)
-        << BackendName(backend) << " rank " << r << " of " << world;
-    ExpectLossesBitEqual(results[r].step_losses, ref.step_losses);
-  }
-}
-
 // GraphCL that counts, per BatchLoss call, whether its thread counts as
 // inside a parallel region (so kernels and the view fork run inline).
 struct RegionTally {
@@ -625,50 +570,6 @@ TEST(DataParallelTest, RankThreadsRunParallelRegionsInline) {
     }
   }
   EXPECT_FALSE(InParallelRegion());
-}
-
-TEST(DataParallelTest, EnvKnobsResolveAndRejectGarbage) {
-  {
-    EnvVarGuard g("GRADGCL_DIST_RANKS", nullptr);
-    EXPECT_EQ(ResolveDistRanks(), 1);
-  }
-  for (const auto& [value, expected] :
-       std::vector<std::pair<const char*, int>>{{"1", 1},
-                                                {"4", 4},
-                                                {"64", 64},
-                                                {"3", 1},     // not a power of 2
-                                                {"0", 1},
-                                                {"128", 1},   // above the cap
-                                                {"-2", 1},
-                                                {"abc", 1},
-                                                {"4x", 1}}) {
-    EnvVarGuard g("GRADGCL_DIST_RANKS", value);
-    EXPECT_EQ(ResolveDistRanks(), expected) << value;
-  }
-  {
-    EnvVarGuard g("GRADGCL_DIST_BACKEND", nullptr);
-    EXPECT_EQ(ResolveDistBackend(), DistBackend::kThread);
-  }
-  {
-    EnvVarGuard g("GRADGCL_DIST_BACKEND", "socket");
-    EXPECT_EQ(ResolveDistBackend(), DistBackend::kSocket);
-  }
-  {
-    EnvVarGuard g("GRADGCL_DIST_BACKEND", "carrier-pigeon");
-    EXPECT_EQ(ResolveDistBackend(), DistBackend::kThread);
-  }
-  {
-    EnvVarGuard g("GRADGCL_DIST_BUCKET_BYTES", nullptr);
-    EXPECT_EQ(ResolveDistBucketBytes(), int64_t{1} << 20);
-  }
-  {
-    EnvVarGuard g("GRADGCL_DIST_BUCKET_BYTES", "4096");
-    EXPECT_EQ(ResolveDistBucketBytes(), 4096);
-  }
-  for (const char* bad : {"4", "0", "-8", "lots"}) {
-    EnvVarGuard g("GRADGCL_DIST_BUCKET_BYTES", bad);
-    EXPECT_EQ(ResolveDistBucketBytes(), int64_t{1} << 20) << bad;
-  }
 }
 
 // --- 4. Checkpoint/resume -------------------------------------------------
